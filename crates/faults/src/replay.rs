@@ -86,9 +86,9 @@ pub struct ReplayTrace {
     /// Snapshots keyed by the boundary index they were taken at; always
     /// starts with `(0, <initial state>)`.
     checkpoints: Vec<(u64, MachineSnapshot)>,
-    /// FNV-1a digest of the final report's canonical rendering — covers
-    /// the record buffers in full, beyond the per-boundary length+last
-    /// summary inside `state_hash`.
+    /// [`RunReport::digest`] of the final report — covers the record
+    /// buffers in full, beyond the per-boundary length+last summary inside
+    /// `state_hash`.
     report_digest: u64,
     report: RunReport,
 }
@@ -156,7 +156,7 @@ pub fn record_scenario(
         seed: scenario.seed,
         boundary_hashes,
         checkpoints,
-        report_digest: fnv1a(format!("{report:?}").as_bytes()),
+        report_digest: report.digest(),
         report,
     })
 }
@@ -251,7 +251,7 @@ pub fn verify_from_with(
     mutate(end_slot, &mut machine);
     machine.run_until(horizon);
     let report = machine.finish();
-    let actual = fnv1a(format!("{report:?}").as_bytes());
+    let actual = report.digest();
     if actual != trace.report_digest {
         return Err(ReplayError::Divergence(Violation::ReplayDivergence {
             slot: end_slot,
@@ -329,7 +329,7 @@ pub fn verify_cross_engine(
 
     machine.run_until(horizon);
     let report = machine.finish();
-    let actual = fnv1a(format!("{report:?}").as_bytes());
+    let actual = report.digest();
     if actual != trace.report_digest {
         return Err(ReplayError::Divergence(Violation::ReplayDivergence {
             slot: trace.boundaries() + 1,
@@ -339,17 +339,6 @@ pub fn verify_cross_engine(
         }));
     }
     Ok(())
-}
-
-/// 64-bit FNV-1a over raw bytes (the same digest family `state_hash`
-/// uses for state words).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -442,6 +431,38 @@ mod tests {
                 assert_eq!(slot, 11);
                 assert_ne!(expected, actual);
                 assert_eq!(seed, 0xFA);
+            }
+            other => panic!("expected a replay divergence, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tail_only_mutation_is_pinned_past_the_last_boundary() {
+        let config = config();
+        let replay = ReplayConfig::default();
+        let trace = record_scenario(&config, &storm(), &replay).expect("valid config");
+
+        // An extra arrival injected after the last boundary is seen by no
+        // boundary hash; only the horizon report digest can catch it.
+        let end_slot = trace.boundaries() + 1;
+        let verdict = verify_from_with(&config, &storm(), &replay, &trace, 0, |k, machine| {
+            if k == end_slot {
+                let now = machine.now();
+                machine
+                    .schedule_irq(IrqSourceId::new(0), now)
+                    .expect("not in the past");
+            }
+        });
+        match verdict {
+            Err(ReplayError::Divergence(Violation::ReplayDivergence {
+                slot,
+                expected,
+                actual,
+                ..
+            })) => {
+                assert_eq!(slot, end_slot);
+                assert_eq!(expected, trace.report().digest());
+                assert_ne!(expected, actual);
             }
             other => panic!("expected a replay divergence, got {other:?}"),
         }

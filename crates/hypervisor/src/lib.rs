@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod digest;
 mod ids;
 mod machine;
 mod platform;

@@ -32,6 +32,7 @@ use rthv_obs::{MetricsHub, ObsConfig, SourceObs};
 use rthv_sim::{EngineKind, EngineQueue, EngineStats, EventId};
 use rthv_time::{Duration, Instant};
 
+use crate::digest::{admission_words, completion_words, counter_words, WordHasher};
 use crate::{
     AdmissionClock, AdmissionRecord, BoundaryPolicy, ConfigError, Counters, HandlingClass,
     HealthSignal, HealthState, HypervisorConfig, IrqCompletion, IrqHandlingMode, IrqSourceId,
@@ -896,8 +897,8 @@ impl Machine {
         self.obs_supervision_seen = snapshot.obs_supervision_seen;
     }
 
-    /// A cheap deterministic digest (64-bit FNV-1a over canonical state
-    /// words) of the machine's live execution state.
+    /// A cheap deterministic digest of the machine's live execution state,
+    /// costing O(live state) word-wise mixing with no sorting.
     ///
     /// Two machines in behaviourally identical states — same virtual time,
     /// same scheduled events, same monitor histories, same supervision
@@ -907,22 +908,35 @@ impl Machine {
     /// (completions, admissions, window openings) contribute their length
     /// and most recent entry, which pins down the divergence point without
     /// rescanning the whole history on every boundary.
+    ///
+    /// The canonical state words are folded one word per step (see the
+    /// `digest` module). Scheduled events are visited in engine storage
+    /// order: each live `(time, seq, event)` gets its own avalanched hash,
+    /// and the `wrapping_add` sum of those hashes plus the live count are
+    /// folded in. Sequence numbers are unique, so the live set fixes the
+    /// pop order, and the sum cannot tell which engine stores the events
+    /// or in what order.
     #[must_use]
     pub fn state_hash(&self) -> u64 {
         let mut words = Vec::with_capacity(256);
         self.state_words(&mut words);
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in words {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        hash
+        let mut hash = WordHasher::new();
+        hash.extend(words);
+        let (mut live, mut sum) = (0u64, 0u64);
+        self.queue.for_each_scheduled(|at, seq, event| {
+            let mut one = WordHasher::new();
+            one.extend([at.as_nanos(), seq]);
+            event_words(event, &mut one);
+            sum = sum.wrapping_add(one.finish());
+            live += 1;
+        });
+        hash.extend([live, sum]);
+        hash.finish()
     }
 
-    /// Appends the machine's canonical state words (the preimage of
-    /// [`state_hash`](Machine::state_hash)).
+    /// Appends the machine's canonical state words: the preimage of
+    /// [`state_hash`](Machine::state_hash) apart from the scheduled
+    /// events, which `state_hash` folds in as an unordered set.
     ///
     /// The observability hub (`metrics`, `obs_supervision_seen`) is
     /// deliberately **excluded**: it is derived observation that never
@@ -938,11 +952,6 @@ impl Machine {
         out.push(match self.config.mode {
             IrqHandlingMode::Baseline => 0,
             IrqHandlingMode::Interposed => 1,
-        });
-        self.queue.for_each_scheduled(|at, seq, event| {
-            out.push(at.as_nanos());
-            out.push(seq);
-            event_words(event, out);
         });
         match &self.hv {
             None => out.push(0),
@@ -1027,16 +1036,7 @@ impl Machine {
         out.push(self.expected_completions);
         out.push(self.recorder.len() as u64);
         if let Some(last) = self.recorder.completions().last() {
-            out.push(last.source.index() as u64);
-            out.push(last.seq);
-            out.push(last.partition.index() as u64);
-            out.push(last.arrival.as_nanos());
-            out.push(last.completed.as_nanos());
-            out.push(match last.class {
-                HandlingClass::Direct => 0,
-                HandlingClass::Interposed => 1,
-                HandlingClass::Delayed => 2,
-            });
+            completion_words(last, out);
         }
         out.push(self.window_openings.len() as u64);
         if let Some(last) = self.window_openings.last() {
@@ -1044,10 +1044,7 @@ impl Machine {
         }
         out.push(self.admissions.len() as u64);
         if let Some(last) = self.admissions.last() {
-            out.push(last.source.index() as u64);
-            out.push(last.seq);
-            out.push(last.check_at.as_nanos());
-            out.push(u64::from(last.admitted));
+            admission_words(last, out);
         }
         out.push(u64::from(self.defect.is_some()));
     }
@@ -1778,21 +1775,15 @@ impl MachineSnapshot {
     }
 }
 
-/// Appends the canonical word encoding of a scheduled [`Event`].
-fn event_words(event: &Event, out: &mut Vec<u64>) {
+/// Folds the canonical word encoding of a scheduled [`Event`].
+fn event_words(event: &Event, out: &mut WordHasher) {
     match event {
         Event::Arrival { source, seq, work } => {
-            out.push(0);
-            out.push(source.index() as u64);
-            out.push(*seq);
-            out.push(work.as_nanos());
+            out.extend([0, source.index() as u64, *seq, work.as_nanos()]);
         }
-        Event::HvEnd => out.push(1),
-        Event::SegEnd => out.push(2),
-        Event::Boundary { index } => {
-            out.push(3);
-            out.push(*index);
-        }
+        Event::HvEnd => out.word(1),
+        Event::SegEnd => out.word(2),
+        Event::Boundary { index } => out.extend([3, *index]),
     }
 }
 
@@ -1828,32 +1819,6 @@ fn hv_cont_words(cont: &HvCont, out: &mut Vec<u64>) {
             out.push(3);
             out.push(*slot);
         }
-    }
-}
-
-/// Appends every [`Counters`] scalar plus per-partition service accounting.
-fn counter_words(counters: &Counters, out: &mut Vec<u64>) {
-    out.push(counters.context_switches);
-    out.push(counters.slot_switches);
-    out.push(counters.hypervisor_time.as_nanos());
-    out.push(counters.interposed_windows);
-    out.push(counters.deferred_boundaries);
-    out.push(counters.aborted_windows);
-    out.push(counters.expired_windows);
-    out.push(counters.latched_irqs);
-    out.push(counters.coalesced_irqs);
-    out.push(counters.overflow_rejected);
-    out.push(counters.overflow_dropped);
-    out.push(counters.monitor_admitted);
-    out.push(counters.monitor_denied);
-    out.push(counters.events_processed);
-    out.push(counters.supervised_demotions);
-    out.push(counters.shrunk_windows);
-    out.push(counters.quarantine_entries);
-    out.push(counters.recoveries);
-    for service in &counters.service {
-        out.push(service.user.as_nanos());
-        out.push(service.bottom.as_nanos());
     }
 }
 
@@ -1955,3 +1920,182 @@ impl std::fmt::Display for ScheduleIrqError {
 }
 
 impl std::error::Error for ScheduleIrqError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{CostModel, IrqSourceSpec, PartitionSpec};
+    use rthv_sim::{EventQueue, WheelEngine};
+
+    fn machine() -> Machine {
+        let us = Duration::from_micros;
+        Machine::new(HypervisorConfig {
+            partitions: vec![
+                PartitionSpec::new("app1", us(6_000)),
+                PartitionSpec::new("app2", us(6_000)),
+            ],
+            sources: vec![
+                IrqSourceSpec::new("timer", PartitionId::new(1), us(30)),
+                IrqSourceSpec::new("net", PartitionId::new(0), us(20)),
+            ],
+            costs: CostModel::paper_arm926ejs(),
+            mode: IrqHandlingMode::Interposed,
+            policies: Default::default(),
+            windows: None,
+        })
+        .expect("valid config")
+    }
+
+    /// Forty events of every kind, spread from nanoseconds to days so
+    /// the wheel files them on every level and in its overflow map.
+    fn events() -> Vec<(Instant, Event)> {
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        (0..40u64)
+            .map(|k| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let at = Instant::from_nanos(1 + x % (1 << (10 + k)));
+                let event = match k % 4 {
+                    0 => Event::Arrival {
+                        source: IrqSourceId::new((k / 4 % 2) as u32),
+                        seq: k,
+                        work: Duration::from_nanos(1_000 + k),
+                    },
+                    1 => Event::HvEnd,
+                    2 => Event::SegEnd,
+                    _ => Event::Boundary { index: k },
+                };
+                (at, event)
+            })
+            .collect()
+    }
+
+    /// How a queue holding [`events`] (seq `k` for the `k`-th) was built.
+    #[derive(Debug, Clone, Copy)]
+    enum History {
+        /// Scheduled in order, nothing else.
+        Plain,
+        /// Extra earliest-firing events scheduled after the list and then
+        /// cancelled: the heap keeps them as tombstones, sifted to the top.
+        Cancelled,
+        /// As `Cancelled`, then compacted (the heap rebuilds its array).
+        Compacted,
+        /// Extra events at time zero scheduled after the list, then popped.
+        Popped,
+    }
+
+    fn queue(mut queue: EngineQueue<Event>, history: History) -> EngineQueue<Event> {
+        for (at, event) in events() {
+            queue.schedule_at(at, event).expect("not in the past");
+        }
+        let extras = |queue: &mut EngineQueue<Event>| -> Vec<EventId> {
+            (0..5)
+                .map(|_| {
+                    queue
+                        .schedule_at(Instant::ZERO, Event::SegEnd)
+                        .expect("now")
+                })
+                .collect()
+        };
+        match history {
+            History::Plain => {}
+            History::Cancelled | History::Compacted => {
+                for id in extras(&mut queue) {
+                    assert!(queue.cancel(id));
+                }
+                if matches!(history, History::Compacted) {
+                    queue.compact();
+                }
+            }
+            History::Popped => {
+                for _ in extras(&mut queue) {
+                    assert!(matches!(queue.pop(), Some((Instant::ZERO, Event::SegEnd))));
+                }
+            }
+        }
+        queue
+    }
+
+    fn engines() -> Vec<EngineQueue<Event>> {
+        let mut engines = vec![EngineQueue::Heap(EventQueue::new())];
+        for tick_shift in [0, 6, 12, 24] {
+            engines.push(EngineQueue::Wheel(WheelEngine::with_tick_shift(tick_shift)));
+        }
+        engines
+    }
+
+    fn hash_with(queue: EngineQueue<Event>) -> u64 {
+        let mut machine = machine();
+        machine.queue = queue;
+        machine.state_hash()
+    }
+
+    #[test]
+    fn scheduled_events_hash_as_a_set() {
+        let reference = hash_with(queue(EngineQueue::Heap(EventQueue::new()), History::Plain));
+        for engine in engines() {
+            for history in [
+                History::Plain,
+                History::Cancelled,
+                History::Compacted,
+                History::Popped,
+            ] {
+                let queue = queue(engine.clone(), history);
+                let kind = queue.kind();
+                assert_eq!(hash_with(queue), reference, "{kind:?} {history:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_changed_scheduled_event_changes_the_hash() {
+        type Edit = fn(&mut Vec<(Instant, Event)>);
+        let edits: [(&str, Edit); 3] = [
+            ("time", |events| events[7].0 += Duration::from_nanos(1)),
+            ("source", |events| {
+                if let Event::Arrival { source, .. } = &mut events[8].1 {
+                    *source = IrqSourceId::new(1 - source.index() as u32);
+                }
+            }),
+            ("work", |events| {
+                if let Event::Arrival { work, .. } = &mut events[8].1 {
+                    *work += Duration::from_nanos(1);
+                }
+            }),
+        ];
+        let build = |engine: EngineQueue<Event>, events: &[(Instant, Event)], gap_before: usize| {
+            let mut queue = engine;
+            for (k, (at, event)) in events.iter().enumerate() {
+                if k == gap_before {
+                    // Burns one sequence number: every later event's seq
+                    // shifts by one.
+                    let id = queue.schedule_at(*at, Event::HvEnd).expect("future");
+                    assert!(queue.cancel(id));
+                }
+                queue.schedule_at(*at, event.clone()).expect("future");
+            }
+            hash_with(queue)
+        };
+        for engine in engines() {
+            let kind = engine.kind();
+            let base = build(engine.clone(), &events(), usize::MAX);
+            assert_eq!(
+                base,
+                hash_with(queue(EngineQueue::Heap(EventQueue::new()), History::Plain))
+            );
+            // Only the last event's seq moves.
+            let last = events().len() - 1;
+            assert_ne!(build(engine.clone(), &events(), last), base, "{kind:?} seq");
+            for (field, edit) in edits {
+                let mut edited = events();
+                edit(&mut edited);
+                assert_ne!(
+                    build(engine.clone(), &edited, usize::MAX),
+                    base,
+                    "{kind:?} {field}"
+                );
+            }
+        }
+    }
+}

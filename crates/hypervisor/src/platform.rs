@@ -49,6 +49,7 @@
 use rthv_obs::{ObsConfig, PlatformObs};
 use rthv_time::{Duration, Instant};
 
+use crate::digest::WordHasher;
 use crate::{
     ConfigError, HypervisorConfig, IrqSourceId, Machine, MachineSnapshot, RunReport,
     ScheduleIrqError,
@@ -1292,7 +1293,8 @@ impl MultiMachine {
 
     /// A cheap deterministic digest of the whole platform state: the
     /// per-core [`Machine::state_hash`]es folded **in core order**, plus
-    /// the platform's own words (frozen set, ledger, clock).
+    /// the platform's own words (frozen set, ledger, clock), with the same
+    /// word mixer as the machine hash.
     ///
     /// A single-core platform that never crashed, stalled or shed hashes
     /// **identically to its underlying machine**: the degenerate platform
@@ -1304,21 +1306,19 @@ impl MultiMachine {
         if self.cores.len() == 1 && self.platform_pristine() {
             return self.cores[0].state_hash();
         }
-        let mut words: Vec<u64> = Vec::with_capacity(16 + 8 * self.cores.len());
-        words.push(self.cores.len() as u64);
-        for machine in &self.cores {
-            words.push(machine.state_hash());
-        }
-        for &frozen in &self.frozen {
-            words.push(u64::from(frozen));
-        }
-        words.push(self.now.as_nanos());
-        words.push(u64::from(self.sealed));
-        words.push(self.scheduled);
-        words.push(self.delivered);
-        words.push(self.sheds.len() as u64);
+        let mut hash = WordHasher::new();
+        hash.word(self.cores.len() as u64);
+        hash.extend(self.cores.iter().map(Machine::state_hash));
+        hash.extend(self.frozen.iter().map(|&frozen| u64::from(frozen)));
+        hash.extend([
+            self.now.as_nanos(),
+            u64::from(self.sealed),
+            self.scheduled,
+            self.delivered,
+            self.sheds.len() as u64,
+        ]);
         for c in &self.counters {
-            words.extend_from_slice(&[
+            hash.extend([
                 c.ipi_in,
                 c.ipi_out,
                 c.failover_in,
@@ -1327,14 +1327,7 @@ impl MultiMachine {
                 c.shed,
             ]);
         }
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in words {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        hash
+        hash.finish()
     }
 
     /// `true` when no platform-level adversity exists or ever engaged.

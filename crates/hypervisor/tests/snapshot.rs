@@ -3,8 +3,8 @@
 //! from, and `state_hash()` must expose the first divergence.
 
 use rthv_hypervisor::{
-    CostModel, HypervisorConfig, IrqHandlingMode, IrqSourceId, IrqSourceSpec, Machine, PartitionId,
-    PartitionSpec, PolicyOptions, SupervisionPolicy,
+    CostModel, EngineChoice, HypervisorConfig, IrqHandlingMode, IrqSourceId, IrqSourceSpec,
+    Machine, PartitionId, PartitionSpec, PolicyOptions, SupervisionPolicy,
 };
 use rthv_monitor::DeltaFunction;
 use rthv_time::{Duration, Instant};
@@ -178,4 +178,78 @@ fn snapshots_are_independent_plain_data() {
     assert_eq!(machine.now(), copy.taken_at());
     assert!(machine.run_until_complete(at_us(HORIZON)));
     assert_eq!(machine.state_hash(), done);
+}
+
+fn on_engine(mut config: HypervisorConfig, engine: EngineChoice) -> HypervisorConfig {
+    config.policies.engine = engine;
+    config
+}
+
+#[test]
+fn state_hash_ignores_how_the_live_events_are_stored() {
+    // The heap keeps cancelled segment ends as tombstones and reshuffles its
+    // array on every pop; the wheel files events by granule and drops
+    // tombstones on its own schedule. The live sets stay equal, and so must
+    // the hashes, after every step.
+    let mut heap = Machine::new(on_engine(busy_config(true), EngineChoice::Heap)).expect("valid");
+    let mut wheel = Machine::new(on_engine(busy_config(true), EngineChoice::Wheel)).expect("valid");
+    for machine in [&mut heap, &mut wheel] {
+        schedule_burst(machine);
+        // Arrivals 20 µs apart inside the subscriber's own slot preempt
+        // running 30 µs bottom handlers, cancelling their scheduled ends.
+        for k in 0..40u64 {
+            machine
+                .schedule_irq(IRQ0, at_us(34_100 + k * 20))
+                .expect("in the future");
+        }
+    }
+    let mut tombstones = 0;
+    for step in 1..=HORIZON / 10 {
+        let t = at_us(step * 10);
+        heap.run_until(t);
+        wheel.run_until(t);
+        tombstones = tombstones.max(heap.engine_stats().stale);
+        assert_eq!(heap.state_hash(), wheel.state_hash(), "diverged by {t:?}");
+    }
+    assert!(tombstones > 0, "the run must cancel scheduled events");
+}
+
+#[test]
+fn state_hash_sees_every_field_of_a_scheduled_arrival() {
+    const IRQ1: IrqSourceId = IrqSourceId::new(1);
+    let mut config = busy_config(false);
+    config
+        .sources
+        .push(IrqSourceSpec::new("net", PartitionId::new(0), us(20)));
+    // Both arrivals are still scheduled when the hash is taken at 10 ms.
+    let hash = |engine: EngineChoice, arrivals: [(IrqSourceId, Instant, Duration); 2]| {
+        let mut machine = Machine::new(on_engine(config.clone(), engine)).expect("valid config");
+        for (source, at, work) in arrivals {
+            machine
+                .schedule_irq_with_work(source, at, work)
+                .expect("in the future");
+        }
+        machine.run_until(at_us(10_000));
+        machine.state_hash()
+    };
+    let (t0, t1, work) = (at_us(50_000), at_us(60_000), us(30));
+    let one_ns = Duration::from_nanos(1);
+    for engine in [EngineChoice::Heap, EngineChoice::Wheel] {
+        let base = hash(engine, [(IRQ0, t0, work), (IRQ1, t1, work)]);
+        assert_eq!(
+            base,
+            hash(EngineChoice::Heap, [(IRQ0, t0, work), (IRQ1, t1, work)])
+        );
+        let variants = [
+            ("time", [(IRQ0, t0 + one_ns, work), (IRQ1, t1, work)]),
+            // Scheduling order swaps the two events' engine sequence
+            // numbers and nothing else.
+            ("seq", [(IRQ1, t1, work), (IRQ0, t0, work)]),
+            ("source", [(IRQ1, t0, work), (IRQ0, t1, work)]),
+            ("work", [(IRQ0, t0, work + one_ns), (IRQ1, t1, work)]),
+        ];
+        for (field, arrivals) in variants {
+            assert_ne!(hash(engine, arrivals), base, "{engine:?}: {field}");
+        }
+    }
 }

@@ -2,9 +2,8 @@
 //!
 //! [`Engine`] is the trait extracted from [`EventQueue`]'s public surface —
 //! everything the hypervisor machine's stepping loop needs from a
-//! time-ordered event store: schedule, cancel, pop, bounded advance, the
-//! canonical-state walk and a content digest. Two implementations satisfy
-//! it:
+//! time-ordered event store: schedule, cancel, pop, bounded advance and a
+//! walk over the live events. Two implementations satisfy it:
 //!
 //! * [`EventQueue`] — the reference **heap engine**: a binary heap with
 //!   packed `(time, seq)` keys, `O(log n)` per operation, trivially correct.
@@ -17,9 +16,10 @@
 //! * identical [`EventId`] issuance for identical schedule streams (dense
 //!   sequence numbers, generations bumped by `clear`);
 //! * identical pop streams — ascending time, FIFO within a timestamp;
-//! * identical [`for_each_scheduled`](Engine::for_each_scheduled) walks —
-//!   ascending `(time, seq)` over live events only — so state hashing over
-//!   queue content cannot tell the engines apart;
+//! * identical live sets under [`for_each_scheduled`](Engine::for_each_scheduled)
+//!   — each live `(time, seq, event)` visited once, in storage order — so
+//!   an order-independent state hash over queue content cannot tell the
+//!   engines apart;
 //! * identical error behaviour (`SchedulePast`, stale-id detection) and
 //!   identical lazy-cancellation observables (`len`, cancel return values).
 //!
@@ -153,7 +153,7 @@ pub trait Engine<E> {
         }
     }
 
-    /// Visits every live event in canonical `(time, seq)` order.
+    /// Visits every live event once, in unspecified (storage) order.
     fn for_each_scheduled(&self, f: &mut dyn FnMut(Instant, u64, &E));
 
     /// Sheds lazy-deletion debt now instead of at the next guard trip.
@@ -176,27 +176,6 @@ pub trait Engine<E> {
         Self: Clone,
     {
         self.clone_from(snapshot);
-    }
-
-    /// FNV-1a digest of the engine's observable timeline state: `now` plus
-    /// every live `(time, seq)` pair in canonical order. Event payloads are
-    /// hashed by the embedding machine (which knows their encoding); this
-    /// digest is the engine-level slice of that hash and must agree between
-    /// any two engines holding the same timeline.
-    fn state_hash(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(self.now().as_nanos());
-        self.for_each_scheduled(&mut |at, seq, _| {
-            mix(at.as_nanos());
-            mix(seq);
-        });
-        hash
     }
 }
 
@@ -440,12 +419,6 @@ impl<E> EngineQueue<E> {
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         dispatch!(self, q => q.stats())
-    }
-
-    /// See [`Engine::state_hash`].
-    #[must_use]
-    pub fn state_hash(&self) -> u64 {
-        dispatch!(self, q => Engine::state_hash(q))
     }
 }
 

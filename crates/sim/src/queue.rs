@@ -533,24 +533,20 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Visits every live (scheduled, not cancelled) event in canonical
-    /// firing order — ascending `(time, seq)` — without disturbing the
-    /// queue.
+    /// Visits every live (scheduled, not cancelled) event exactly once, in
+    /// **unspecified** (storage) order, without disturbing the queue.
     ///
     /// The callback receives the firing time, the dense sequence number and
-    /// the event payload. This is the queue's canonical-state iterator:
-    /// two queues that would pop the same event stream visit the same
-    /// `(time, seq, event)` triples, which is what checkpoint state-hashing
-    /// relies on.
+    /// the event payload. Two queues that would pop the same event stream
+    /// visit the same set of `(time, seq, event)` triples — sequence numbers
+    /// are unique, so that set fixes the pop order — which is what
+    /// checkpoint state-hashing relies on. Callers needing firing order
+    /// must sort by `(time, seq)` themselves.
     pub fn for_each_scheduled(&self, mut f: impl FnMut(Instant, u64, &E)) {
-        let mut live: Vec<&Entry<E>> = self
-            .heap
-            .iter()
-            .filter(|entry| self.ids.state(entry.seq()) != IdState::Cancelled)
-            .collect();
-        live.sort_by_key(|entry| entry.key);
-        for entry in live {
-            f(entry.at(), entry.seq(), &entry.event);
+        for entry in &self.heap {
+            if self.ids.state(entry.seq()) != IdState::Cancelled {
+                f(entry.at(), entry.seq(), &entry.event);
+            }
         }
     }
 
@@ -1000,7 +996,7 @@ mod tests {
     }
 
     #[test]
-    fn for_each_scheduled_visits_live_events_in_pop_order() {
+    fn for_each_scheduled_visits_every_live_event_once() {
         let mut q = EventQueue::new();
         q.schedule_at(Instant::from_nanos(30), Ev::C)
             .expect("future");
@@ -1014,6 +1010,8 @@ mod tests {
         q.cancel(b);
         let mut seen = Vec::new();
         q.for_each_scheduled(|at, seq, e| seen.push((at, seq, *e)));
+        // The walk is unordered; sort into firing order to compare.
+        seen.sort_by_key(|&(at, seq, _)| (at, seq));
         assert_eq!(
             seen,
             vec![

@@ -53,9 +53,10 @@
 //!
 //! The wheel shares the heap engine's id allocator ([`IdTable`]), packed
 //! `(time, seq)` keys, lazy cancellation and compaction guard, so ids, pop
-//! streams, error behaviour and the canonical
-//! [`for_each_scheduled`](WheelEngine::for_each_scheduled) walk are
-//! byte-identical to [`EventQueue`](crate::EventQueue) — asserted by the
+//! streams and error behaviour are byte-identical to
+//! [`EventQueue`](crate::EventQueue), and the
+//! [`for_each_scheduled`](WheelEngine::for_each_scheduled) walk visits the
+//! same set of live events (in storage order) — asserted by the
 //! cross-engine differential suites in `rthv-sim` and `rthv-faults`.
 
 use std::collections::BTreeMap;
@@ -490,31 +491,35 @@ impl<E> WheelEngine<E> {
         }
     }
 
-    /// Visits every live event in canonical ascending `(time, seq)` order —
-    /// the same walk [`EventQueue::for_each_scheduled`](crate::EventQueue::for_each_scheduled)
+    /// Visits every live event exactly once, in **unspecified** (storage)
+    /// order: staging, then each level's occupied buckets — found through
+    /// its `occupied` bitmap, so empty buckets cost nothing — then the
+    /// overflow map. The visited set equals the one
+    /// [`EventQueue::for_each_scheduled`](crate::EventQueue::for_each_scheduled)
     /// produces for the same timeline, which is what cross-engine state
     /// hashing relies on.
     pub fn for_each_scheduled(&self, mut f: impl FnMut(Instant, u64, &E)) {
-        let mut live: Vec<(u128, &E)> = Vec::with_capacity(self.len());
-        let is_live = |seq: u64| self.ids.state(seq) != IdState::Cancelled;
-        let stored = self.staging.iter().chain(
-            self.levels
-                .iter()
-                .flat_map(|level| level.slots.iter().flatten()),
-        );
-        for entry in stored {
-            if is_live(key_seq(entry.key)) {
-                live.push((entry.key, &entry.event));
+        let mut visit = |key: u128, event: &E| {
+            let seq = key_seq(key);
+            if self.ids.state(seq) != IdState::Cancelled {
+                f(key_time(key), seq, event);
+            }
+        };
+        for entry in &self.staging {
+            visit(entry.key, &entry.event);
+        }
+        for level in &self.levels {
+            let mut armed = level.occupied;
+            while armed != 0 {
+                let slot = armed.trailing_zeros() as usize;
+                armed &= armed - 1;
+                for entry in &level.slots[slot] {
+                    visit(entry.key, &entry.event);
+                }
             }
         }
-        for (key, event) in &self.overflow {
-            if is_live(key_seq(*key)) {
-                live.push((*key, event));
-            }
-        }
-        live.sort_unstable_by_key(|(key, _)| *key);
-        for (key, event) in live {
-            f(key_time(key), key_seq(key), event);
+        for (&key, event) in &self.overflow {
+            visit(key, event);
         }
     }
 

@@ -200,9 +200,9 @@ impl From<io::Error> for TraceIoError {
 /// Tag introducing the trailing checksum record.
 const CHECKSUM_TAG: &str = "# rthv-checksum fnv1a64 ";
 
-/// FNV-1a over the little-endian bytes of every timestamp, in order — the
-/// same construction the hypervisor's `Machine::state_hash` uses, so the
-/// two corruption detectors agree on the primitive.
+/// 64-bit FNV-1a over the little-endian bytes of every timestamp, in
+/// order. The value is written to disk, so the construction is fixed: a
+/// file written by any earlier version must still verify.
 fn trace_digest(trace: &ArrivalTrace) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for arrival in trace {

@@ -17,6 +17,12 @@ echo "==> cargo test -q (RTHV_ENGINE=wheel)"
 # on the heap but failing here is a cross-engine divergence.
 RTHV_ENGINE=wheel cargo test --workspace -q
 
+echo "==> cargo test (perfbench)"
+# The benchmark is its own workspace and rebuilds library paths from their
+# public parts; its *_paths_agree_and_seeds_differ tests fail when a
+# library change leaves those replicas computing something else.
+cargo test --offline --manifest-path perfbench/Cargo.toml -q
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
