@@ -7,14 +7,17 @@
 //! This is what makes the multi-core campaign's claims transfer: every
 //! single-machine guarantee (snapshot/restore, cross-engine determinism,
 //! replay journals) holds on the platform because N = 1 adds nothing.
+//!
+//! On N ≥ 1 cores the same file pins the invariant `MultiMachine` stepping
+//! rests on: after sealing, where a run is cut is unobservable.
 
 use proptest::prelude::*;
 
 use rthv::monitor::DeltaFunction;
 use rthv::time::{Duration, Instant};
 use rthv::{
-    EngineChoice, FailoverPolicy, HypervisorConfig, IrqHandlingMode, IrqSourceId, Machine,
-    MultiMachine, PaperSetup, Platform, PlatformSource, StepChoice, SupervisionPolicy,
+    CoreFault, EngineChoice, FailoverPolicy, HypervisorConfig, IrqHandlingMode, IrqSourceId,
+    Machine, MultiMachine, PaperSetup, Platform, PlatformSource, SupervisionPolicy,
 };
 use rthv_faults::{
     build_platform, core_faults, line_arrivals, FaultKind, FaultScenario, SmpArm, SmpConfig,
@@ -228,20 +231,24 @@ proptest! {
         prop_assert_eq!(multi.state_hash(), reference, "replayed horizon state");
     }
 
-    /// Parallel stepping is byte-identical to sequential: the same smp
-    /// campaign case driven by `StepChoice::Sequential` and
-    /// `StepChoice::Parallel` must agree on `state_hash` at **every** slot
-    /// boundary to the horizon, across all fault families × both engines ×
-    /// cores {1, 2, 4}, and a snapshot/restore cut taken mid-scenario on
-    /// the parallel machine must replay onto the same bytes.
+    /// Stepping granularity is unobservable: sealing resolves every
+    /// cross-core delivery, so the per-core machines never interact and
+    /// where `run_until` cuts the run cannot matter. The same smp campaign
+    /// case driven in one `run_until(horizon)` call, slot by slot, and
+    /// through a random increasing cut list (which always contains the
+    /// case's crash instants) must agree on `state_hash` at the horizon
+    /// and on every part of `finish()`, across all fault families × both
+    /// engines × cores {1, 2, 4}; a snapshot taken at a random cut must
+    /// restore and replay onto the same bytes.
     #[test]
-    fn parallel_stepping_matches_sequential_at_every_slot_boundary(
+    fn stepping_granularity_is_unobservable(
         kind_index in 0usize..11,
         seed in any::<u64>(),
         cores_pick in 0usize..3,
         wheel in prop::bool::ANY,
         storm in prop::bool::ANY,
-        cut in 1u64..6,
+        random_cuts in prop::collection::vec(1u64..60_000_000, 0..12),
+        restore_pick in any::<u64>(),
     ) {
         let cores = [1usize, 2, 4][cores_pick];
         let engine = if wheel { EngineChoice::Wheel } else { EngineChoice::Heap };
@@ -261,9 +268,9 @@ proptest! {
         }
         let faults = core_faults(&scenario, cores, config.horizon);
         let lines = platform.sources.len();
-        let build = |step| {
-            let mut m = MultiMachine::with_step(platform.clone(), &faults, step)
-                .expect("explicit step choice never fails");
+        let build = || {
+            let mut m = MultiMachine::new(platform.clone(), &faults)
+                .expect("campaign platform and faults are valid");
             for line in 0..lines {
                 for at in line_arrivals(&config, &scenario, line) {
                     m.schedule_irq(line, at).expect("campaign arrivals are in range");
@@ -271,48 +278,65 @@ proptest! {
             }
             m
         };
-        let mut seq = build(StepChoice::Sequential);
-        let mut par = build(StepChoice::Parallel);
+        let horizon = Instant::ZERO + config.horizon;
+
+        let mut one_shot = build();
+        one_shot.run_until(horizon);
+        let reference = one_shot.state_hash();
 
         // All cores share the campaign's TDMA geometry; probe it off core 0.
         let schedule = Machine::new(platform.cores[0].clone())
             .expect("campaign core config is valid")
             .schedule()
             .clone();
-        let horizon = Instant::ZERO + config.horizon;
-        let cut_at = schedule.boundary_time(cut).min(horizon);
-        let mut checkpoint = None;
+        let mut slotted = build();
         let mut k = 1u64;
-        while schedule.boundary_time(k) <= horizon {
-            let boundary = schedule.boundary_time(k);
-            seq.run_until(boundary);
-            par.run_until(boundary);
-            prop_assert_eq!(
-                seq.state_hash(),
-                par.state_hash(),
-                "parallel diverged from sequential at slot boundary {}",
-                k
-            );
-            if boundary == cut_at {
-                checkpoint = Some(par.snapshot());
-            }
+        while schedule.boundary_time(k) < horizon {
+            slotted.run_until(schedule.boundary_time(k));
             k += 1;
         }
-        seq.run_until(horizon);
-        par.run_until(horizon);
-        let reference = seq.state_hash();
-        prop_assert_eq!(par.state_hash(), reference, "horizon state");
+        slotted.run_until(horizon);
+        prop_assert_eq!(slotted.state_hash(), reference, "slot-by-slot horizon state");
 
-        if let Some(checkpoint) = checkpoint {
-            par.restore(&checkpoint);
-            par.run_until(horizon);
-            prop_assert_eq!(par.state_hash(), reference, "replayed horizon state");
+        let mut cuts: Vec<Instant> = random_cuts
+            .iter()
+            .map(|&ns| Instant::ZERO + Duration::from_nanos(ns))
+            .chain(faults.iter().filter_map(|fault| match *fault {
+                CoreFault::Crash { at, .. } => Some(at),
+                CoreFault::RouteStall { .. } => None,
+            }))
+            .filter(|&at| at < horizon)
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        cuts.push(horizon);
+        let restore_at = cuts[(restore_pick % cuts.len() as u64) as usize];
+        let mut cut = build();
+        let mut checkpoint = None;
+        for &at in &cuts {
+            cut.run_until(at);
+            if at == restore_at {
+                checkpoint = Some((cut.snapshot(), cut.state_hash()));
+            }
         }
+        prop_assert_eq!(cut.state_hash(), reference, "cut-list horizon state");
 
-        let seq = seq.finish();
-        let par = par.finish();
-        prop_assert!(seq.conserved() && par.conserved(), "ledger leaked");
-        prop_assert_eq!(&seq.counters, &par.counters, "counters differ");
-        prop_assert_eq!(&seq.sheds, &par.sheds, "sheds differ");
+        let (checkpoint, checkpoint_hash) = checkpoint.expect("restore point is a cut");
+        cut.restore(&checkpoint);
+        prop_assert_eq!(cut.state_hash(), checkpoint_hash, "restored state");
+        cut.run_until(horizon);
+        prop_assert_eq!(cut.state_hash(), reference, "replayed horizon state");
+
+        let expected = one_shot.finish();
+        prop_assert!(expected.conserved(), "ledger leaked");
+        for report in [slotted.finish(), cut.finish()] {
+            prop_assert_eq!(&report.counters, &expected.counters, "counters differ");
+            prop_assert_eq!(&report.sheds, &expected.sheds, "sheds differ");
+            prop_assert_eq!(&report.crashed, &expected.crashed, "crashed flags differ");
+            prop_assert_eq!(report.cores.len(), expected.cores.len());
+            for (core, (got, want)) in report.cores.iter().zip(&expected.cores).enumerate() {
+                prop_assert_eq!(got.digest(), want.digest(), "core {} report differs", core);
+            }
+        }
     }
 }
