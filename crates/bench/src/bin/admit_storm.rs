@@ -6,376 +6,148 @@
 //! results written as a deterministic JSON report.
 //!
 //! Usage: `cargo run --release -p rthv-experiments --bin admit_storm
-//! [output-path] [scenario-count] [base-seed] [--smoke] [--tenants]
-//! [--journal <jsonl>] [--resume <jsonl>] [--abort-after <n>]
-//! [--metrics <json>]`
-//! (defaults: `STORM_admit.json`, 7 scenarios, seed `0xAD2014`).
-//!
-//! `--smoke` swaps the 8×64-source 1 s geometry for the CI-sized
-//! 4×16-source 250 ms one; families and verdict are unchanged. The event
-//! engine comes from `RTHV_ENGINE` (`heap`, the default, or `wheel`); an
-//! unknown value is a typed, loud failure before any scenario runs.
-//!
-//! `--tenants` runs the tenant-isolation campaign instead: each scenario
-//! drives four arms (hierarchy calm/storm, flat-ablation calm/storm)
-//! under correlated-failure fault plans, and the verdict demands the
-//! hierarchy keep the victim tenant's admitted stream byte-identical
-//! while the flat ablation demonstrably does not, with zero group- and
-//! global-budget oracle violations. Defaults become `STORM_tenants.json`
-//! and 3 scenarios; `--journal`/`--resume`/`--abort-after`/`--metrics`
-//! compose the same way.
-//!
-//! With `--journal`, each completed scenario is appended to a JSONL
-//! journal the moment it finishes; with `--resume`, scenarios already
-//! present in a journal (matched by label *and* seed) are loaded instead
-//! of re-executed. Every scenario is pure in `(config, seed)` and resumed
-//! report fragments are spliced verbatim, so a resumed report is
-//! byte-identical to an uninterrupted run. `--abort-after <n>` is the
-//! crash-test hook: the process dies via `abort()` right after the n-th
-//! journal append of this run is flushed.
-//!
-//! With `--metrics <json>`, the first scenario's failover arm is re-run
-//! with the flight-recorder observability hub attached and the snapshot is
-//! written to the given path. Metrics are pure observation, so the report
-//! is unchanged — the binary asserts the observed record equals the
-//! report's — and the snapshot file is deterministic.
-//!
-//! The process exits non-zero unless the report's three-part verdict
-//! passes: zero failover-arm oracle violations, every crash+flood baseline
+//! [output-path] [scenario-count] [base-seed] [--smoke] [--tenants]` plus
+//! the shared flags of [`rthv_experiments::campaign`] (defaults:
+//! `STORM_admit.json`, 7 scenarios, seed `0xAD2014`). `--smoke` swaps the
+//! 8×64-source 1 s geometry for the CI-sized 4×16-source 250 ms one.
+//! `--metrics` snapshots the first scenario's failover arm. The verdict
+//! demands zero failover-arm oracle violations, every crash+flood baseline
 //! broken, and the worst flood-family shed rate inside the stated budget.
+//!
+//! `--tenants` runs the tenant-isolation campaign instead (defaults
+//! `STORM_tenants.json`, 3 scenarios): four arms per scenario (hierarchy
+//! and flat ablation, calm and storm) under correlated-failure fault plans.
+//! Its verdict demands that the hierarchy keep the victim tenant's admitted
+//! stream byte-identical while the flat ablation demonstrably does not,
+//! with zero group- and global-budget oracle violations.
 
 use std::process::ExitCode;
 
 use rthv_admit::{
     assemble_report, assemble_tenant_report, report_passes, run_storm_scenario,
     run_tenant_scenario, storm_hub, storm_scenarios, tenant_scenarios, tenant_storm_hub,
-    AdmitFleet, ScenarioRecord, StormConfig, TenantRecord, TenantStormConfig,
+    AdmitFleet, ScenarioRecord, StormConfig, StormScenario, TenantRecord, TenantScenario,
+    TenantStormConfig,
 };
-use rthv_experiments::{
-    parse_journal_flags, read_complete_lines, Journal, JournalOptions, SweepRunner,
-};
+use rthv_experiments::{drive, report_verdict, Campaign, CampaignArgs, Setup, Verdict};
 
-fn main() -> ExitCode {
-    let (options, positional) = match parse_journal_flags(std::env::args().skip(1)) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("admit_storm: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut smoke = false;
-    let mut tenants = false;
-    let positional: Vec<String> = positional
-        .into_iter()
-        .filter(|arg| {
-            let is_smoke = arg == "--smoke";
-            let is_tenants = arg == "--tenants";
-            smoke |= is_smoke;
-            tenants |= is_tenants;
-            !is_smoke && !is_tenants
-        })
-        .collect();
-    let mut positional = positional.into_iter();
-    let path = positional.next().unwrap_or_else(|| {
-        if tenants {
-            "STORM_tenants.json".to_string()
+struct FleetStorm {
+    config: StormConfig,
+    seed: u64,
+}
+
+impl Campaign for FleetStorm {
+    type Scenario = StormScenario;
+    type Record = ScenarioRecord;
+    const NAME: &'static str = "admit_storm";
+    const DEFAULT_PATH: &'static str = "STORM_admit.json";
+    const DEFAULT_COUNT: Option<u32> = Some(7);
+    const DEFAULT_SEED: u64 = 0xAD_2014;
+    const FLAGS: &'static [&'static str] = &["--smoke", "--tenants"];
+
+    fn setup(args: &CampaignArgs) -> Setup<Self> {
+        let engine = args.engine.name();
+        let config = if args.smoke {
+            StormConfig::smoke(engine)
         } else {
-            "STORM_admit.json".to_string()
-        }
-    });
-    let count: u32 = positional
-        .next()
-        .map(|s| s.parse().expect("scenario count must be a number"))
-        .unwrap_or(if tenants { 3 } else { 7 });
-    let base_seed: u64 = positional
-        .next()
-        .map(|s| s.parse().expect("base seed must be a number"))
-        .unwrap_or(0xAD_2014);
-
-    let engine = std::env::var("RTHV_ENGINE").unwrap_or_else(|_| "heap".to_string());
-    if tenants {
-        return tenant_campaign(&options, smoke, &engine, &path, count, base_seed);
+            StormConfig::standard(engine)
+        };
+        AdmitFleet::new(config.base.clone())?;
+        let scenarios = storm_scenarios(args.count, args.seed, config.horizon);
+        let seed = args.seed;
+        Ok((FleetStorm { config, seed }, scenarios))
     }
-    let config = if smoke {
-        StormConfig::smoke(&engine)
-    } else {
-        StormConfig::standard(&engine)
-    };
-    // Fail loudly on a bad fleet config — in particular an unknown
-    // RTHV_ENGINE value — before any scenario burns cycles.
-    if let Err(error) = AdmitFleet::new(config.base.clone()) {
-        eprintln!("admit_storm: {error}");
-        return ExitCode::FAILURE;
-    }
-    let scenarios = storm_scenarios(count, base_seed, config.horizon);
 
-    // Completed records from the resume journal, aligned to the scenario
-    // list by (label, seed) so a journal from a different seed or count
-    // silently resumes nothing rather than corrupting the report.
-    let resumed: Vec<Option<ScenarioRecord>> = match &options.resume {
-        Some(journal_path) => {
-            let lines = read_complete_lines(journal_path).expect("read resume journal");
-            let mut completed = Vec::new();
-            for line in &lines {
-                match ScenarioRecord::parse_journal_line(line) {
-                    Some(record) => completed.push(record),
-                    None => eprintln!("admit_storm: ignoring corrupt journal line"),
-                }
-            }
-            scenarios
-                .iter()
-                .map(|scenario| {
-                    completed
-                        .iter()
-                        .find(|r| r.label == scenario.label() && r.seed == scenario.fault.seed)
-                        .cloned()
-                })
-                .collect()
-        }
-        None => scenarios.iter().map(|_| None).collect(),
-    };
-    let journal = options
-        .journal
-        .as_deref()
-        .map(|p| Journal::open_append(p).expect("open journal"));
-    let abort_after = options.abort_after;
-
-    let runner = SweepRunner::available();
-    let records = runner.run(&scenarios, |index, scenario| {
-        if let Some(done) = &resumed[index] {
-            return done.clone();
-        }
-        let outcome = run_storm_scenario(&config, scenario, None)
+    fn run(&self, scenario: &StormScenario, metrics: bool) -> (ScenarioRecord, Option<String>) {
+        let mut hub = metrics.then(|| storm_hub(&self.config));
+        let outcome = run_storm_scenario(&self.config, scenario, hub.as_mut())
             .expect("fleet config was validated before the sweep");
-        let record = outcome.record();
-        if let Some(journal) = &journal {
-            let appended = journal
-                .append(&record.to_journal_line())
-                .expect("journal append");
-            if abort_after.is_some_and(|limit| appended >= limit) {
-                // Crash-test hook: die without unwinding or cleanup —
-                // exactly the failure the resume path must survive.
-                eprintln!("admit_storm: --abort-after {appended} reached, aborting");
-                std::process::abort();
-            }
-        }
-        record
-    });
-    let report = assemble_report(&config, base_seed, &records);
-
-    let resumed_count = resumed.iter().filter(|r| r.is_some()).count();
-    if (runner.threads() > 1 || resumed_count > 0) && count <= 8 {
-        // Cheap campaigns double as a determinism self-check: a fresh
-        // sequential re-execution must reproduce the assembled report,
-        // including every record taken from the resume journal.
-        let reference = SweepRunner::sequential().run(&scenarios, |_, scenario| {
-            run_storm_scenario(&config, scenario, None)
-                .expect("fleet config was validated before the sweep")
-                .record()
-        });
-        assert_eq!(
-            assemble_report(&config, base_seed, &reference),
-            report,
-            "parallel/resumed storm report diverged from sequential re-execution"
-        );
+        (outcome.record(), hub.map(|hub| hub.snapshot_json()))
     }
 
-    std::fs::write(&path, &report).expect("write storm report");
-
-    if let Some(metrics_path) = &options.metrics {
-        // Observability snapshot of the first scenario's failover arm:
-        // re-run with the hub attached. Metrics never change outcomes, so
-        // the report above is untouched; the assert pins that.
-        let mut hub = storm_hub(&config);
-        let observed = run_storm_scenario(&config, &scenarios[0], Some(&mut hub))
-            .expect("fleet config was validated before the sweep");
-        assert_eq!(
-            observed.record(),
-            records[0],
-            "metrics instrumentation changed a scenario outcome"
-        );
-        std::fs::write(metrics_path, hub.snapshot_json()).expect("write metrics snapshot");
-        eprintln!(
-            "admit_storm: metrics snapshot -> {}",
-            metrics_path.display()
-        );
+    fn is_record_of(scenario: &StormScenario, record: &ScenarioRecord) -> bool {
+        record.label == scenario.label() && record.seed == scenario.fault.seed
     }
 
-    let failover_violations: u64 = records.iter().map(|r| r.failover_violations).sum();
-    let baseline_violations: u64 = records.iter().map(|r| r.baseline_violations).sum();
-    let worst_flood_shed = records
-        .iter()
-        .filter(|r| r.flood_family)
-        .map(|r| r.shed_permille)
-        .max()
-        .unwrap_or(0);
-    eprintln!(
-        "admit_storm: {} scenarios ({} resumed) on {} thread(s), engine {engine} -> {path}",
-        records.len(),
-        resumed_count,
-        runner.threads(),
-    );
-    eprintln!("  failover violations:        {failover_violations}");
-    eprintln!("  baseline violations:        {baseline_violations}");
-    eprintln!(
-        "  worst flood shed:           {worst_flood_shed} permille (budget {})",
-        config.shed_budget_permille
-    );
+    fn encode(record: &ScenarioRecord) -> String {
+        record.to_journal_line()
+    }
 
-    if report_passes(&report) {
-        eprintln!("PASS: failover holds the bound, the fresh-state baseline demonstrably does not");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("FAIL: see the verdict block in {path}");
-        ExitCode::FAILURE
+    fn decode(line: &str) -> Result<ScenarioRecord, String> {
+        ScenarioRecord::parse_journal_line(line).ok_or_else(|| "unparseable record".into())
+    }
+
+    fn assemble(&self, records: &[ScenarioRecord]) -> String {
+        assemble_report(&self.config, self.seed, records)
+    }
+
+    fn verdict(&self, _: &[ScenarioRecord], report: &str) -> Verdict {
+        let pass = "failover holds the bound, the fresh-state baseline demonstrably does not";
+        report_verdict(report, report_passes(report), pass)
     }
 }
 
-/// The `--tenants` campaign: same sweep/journal/resume machinery as the
-/// flat campaign, over [`TenantRecord`]s and the tenant-isolation verdict.
-fn tenant_campaign(
-    options: &JournalOptions,
-    smoke: bool,
-    engine: &str,
-    path: &str,
-    count: u32,
-    base_seed: u64,
-) -> ExitCode {
-    let config = if smoke {
-        TenantStormConfig::smoke(engine)
-    } else {
-        TenantStormConfig::standard(engine)
-    };
-    // Fail loudly on a bad fleet or tenancy config — in particular an
-    // unknown RTHV_ENGINE value — before any scenario burns cycles.
-    if let Err(error) = AdmitFleet::new(config.base.clone()) {
-        eprintln!("admit_storm: {error}");
-        return ExitCode::FAILURE;
+struct TenantStorm {
+    config: TenantStormConfig,
+    seed: u64,
+}
+
+impl Campaign for TenantStorm {
+    type Scenario = TenantScenario;
+    type Record = TenantRecord;
+    const NAME: &'static str = "admit_storm";
+    const DEFAULT_PATH: &'static str = "STORM_tenants.json";
+    const DEFAULT_COUNT: Option<u32> = Some(3);
+    const DEFAULT_SEED: u64 = 0xAD_2014;
+    const FLAGS: &'static [&'static str] = &["--smoke", "--tenants"];
+
+    fn setup(args: &CampaignArgs) -> Setup<Self> {
+        let engine = args.engine.name();
+        let config = if args.smoke {
+            TenantStormConfig::smoke(engine)
+        } else {
+            TenantStormConfig::standard(engine)
+        };
+        AdmitFleet::new(config.base.clone())?;
+        let scenarios = tenant_scenarios(args.count, args.seed, config.horizon);
+        let seed = args.seed;
+        Ok((TenantStorm { config, seed }, scenarios))
     }
-    let scenarios = tenant_scenarios(count, base_seed, config.horizon);
 
-    let resumed: Vec<Option<TenantRecord>> = match &options.resume {
-        Some(journal_path) => {
-            let lines = read_complete_lines(journal_path).expect("read resume journal");
-            let mut completed = Vec::new();
-            for line in &lines {
-                match TenantRecord::parse_journal_line(line) {
-                    Some(record) => completed.push(record),
-                    None => eprintln!("admit_storm: ignoring corrupt journal line"),
-                }
-            }
-            scenarios
-                .iter()
-                .map(|scenario| {
-                    completed
-                        .iter()
-                        .find(|r| r.label == scenario.label() && r.seed == scenario.fault.seed)
-                        .cloned()
-                })
-                .collect()
-        }
-        None => scenarios.iter().map(|_| None).collect(),
-    };
-    let journal = options
-        .journal
-        .as_deref()
-        .map(|p| Journal::open_append(p).expect("open journal"));
-    let abort_after = options.abort_after;
-
-    let runner = SweepRunner::available();
-    let records = runner.run(&scenarios, |index, scenario| {
-        if let Some(done) = &resumed[index] {
-            return done.clone();
-        }
-        let outcome = run_tenant_scenario(&config, scenario, None)
+    fn run(&self, scenario: &TenantScenario, metrics: bool) -> (TenantRecord, Option<String>) {
+        let mut hub = metrics.then(|| tenant_storm_hub(&self.config));
+        let outcome = run_tenant_scenario(&self.config, scenario, hub.as_mut())
             .expect("fleet config was validated before the sweep");
-        let record = outcome.record();
-        if let Some(journal) = &journal {
-            let appended = journal
-                .append(&record.to_journal_line())
-                .expect("journal append");
-            if abort_after.is_some_and(|limit| appended >= limit) {
-                eprintln!("admit_storm: --abort-after {appended} reached, aborting");
-                std::process::abort();
-            }
-        }
-        record
-    });
-    let report = assemble_tenant_report(&config, base_seed, &records);
-
-    let resumed_count = resumed.iter().filter(|r| r.is_some()).count();
-    if (runner.threads() > 1 || resumed_count > 0) && count <= 8 {
-        // Cheap campaigns double as a determinism self-check, exactly as
-        // in the flat campaign.
-        let reference = SweepRunner::sequential().run(&scenarios, |_, scenario| {
-            run_tenant_scenario(&config, scenario, None)
-                .expect("fleet config was validated before the sweep")
-                .record()
-        });
-        assert_eq!(
-            assemble_tenant_report(&config, base_seed, &reference),
-            report,
-            "parallel/resumed tenant report diverged from sequential re-execution"
-        );
+        (outcome.record(), hub.map(|hub| hub.snapshot_json()))
     }
 
-    std::fs::write(path, &report).expect("write tenant storm report");
-
-    if let Some(metrics_path) = &options.metrics {
-        let mut hub = tenant_storm_hub(&config);
-        let observed = run_tenant_scenario(&config, &scenarios[0], Some(&mut hub))
-            .expect("fleet config was validated before the sweep");
-        assert_eq!(
-            observed.record(),
-            records[0],
-            "metrics instrumentation changed a tenant scenario outcome"
-        );
-        std::fs::write(metrics_path, hub.snapshot_json()).expect("write metrics snapshot");
-        eprintln!(
-            "admit_storm: metrics snapshot -> {}",
-            metrics_path.display()
-        );
+    fn is_record_of(scenario: &TenantScenario, record: &TenantRecord) -> bool {
+        record.label == scenario.label() && record.seed == scenario.fault.seed
     }
 
-    let hier_violations: u64 = records.iter().map(|r| r.hier_violations).sum();
-    let budget_violations: u64 = records
-        .iter()
-        .map(|r| r.group_budget_violations + r.global_budget_violations)
-        .sum();
-    let isolated = records
-        .iter()
-        .filter(|r| r.identity_family && r.hier_isolated)
-        .count();
-    let identity = records.iter().filter(|r| r.identity_family).count();
-    let broken = records
-        .iter()
-        .filter(|r| r.identity_family && r.flat_violates)
-        .count();
-    let worst_victim_shed = records
-        .iter()
-        .map(|r| r.victim_shed_permille)
-        .max()
-        .unwrap_or(0);
-    eprintln!(
-        "admit_storm: {} tenant scenarios ({} resumed) on {} thread(s), engine {engine} -> {path}",
-        records.len(),
-        resumed_count,
-        runner.threads(),
-    );
-    eprintln!("  hierarchy oracle violations: {hier_violations}");
-    eprintln!("  group+global budget breaks:  {budget_violations}");
-    eprintln!("  victim isolated:             {isolated}/{identity} identity scenarios");
-    eprintln!("  flat ablation broken:        {broken}/{identity} identity scenarios");
-    eprintln!("  worst victim shed:           {worst_victim_shed} permille");
+    fn encode(record: &TenantRecord) -> String {
+        record.to_journal_line()
+    }
 
-    if report_passes(&report) {
-        eprintln!(
-            "PASS: the hierarchy isolates the victim tenant, the flat ablation demonstrably \
-             does not"
-        );
-        ExitCode::SUCCESS
+    fn decode(line: &str) -> Result<TenantRecord, String> {
+        TenantRecord::parse_journal_line(line).ok_or_else(|| "unparseable record".into())
+    }
+
+    fn assemble(&self, records: &[TenantRecord]) -> String {
+        assemble_tenant_report(&self.config, self.seed, records)
+    }
+
+    fn verdict(&self, _: &[TenantRecord], report: &str) -> Verdict {
+        let pass =
+            "the hierarchy isolates the victim tenant, the flat ablation demonstrably does not";
+        report_verdict(report, report_passes(report), pass)
+    }
+}
+
+fn main() -> ExitCode {
+    if std::env::args_os().any(|arg| arg == "--tenants") {
+        drive::<TenantStorm>()
     } else {
-        eprintln!("FAIL: see the verdict block in {path}");
-        ExitCode::FAILURE
+        drive::<FleetStorm>()
     }
 }

@@ -30,7 +30,7 @@ use rthv::{
     EngineChoice, EngineKind, IrqHandlingMode, IrqSourceId, Machine, PaperSetup, SupervisionPolicy,
 };
 use rthv_admit::{AdmitFleet, FleetConfig, FleetReport, TenantConfig, TenantSpec};
-use rthv_experiments::{parse_journal_flags, SweepRunner};
+use rthv_experiments::SweepRunner;
 use rthv_faults::{run_smp_case, smp_scenarios, SmpArm, SmpCase, SmpConfig};
 use rthv_workload::FloodEvent;
 
@@ -556,15 +556,25 @@ fn measure_queue_micro(kind: EngineKind, fill: usize) -> QueueMicro {
 }
 
 fn main() {
-    let (options, positional) =
-        parse_journal_flags(std::env::args().skip(1)).unwrap_or_else(|message| {
-            eprintln!("bench_export: {message}");
-            std::process::exit(1);
-        });
-    let path = positional
-        .into_iter()
-        .next()
-        .unwrap_or_else(|| "BENCH_sim.json".to_string());
+    let fail = |message: String| -> ! {
+        eprintln!("bench_export: {message}\nusage: bench_export [output-path] [--metrics <json>]");
+        std::process::exit(1);
+    };
+    let mut args = std::env::args().skip(1);
+    let (mut path, mut metrics_path) = (None, None);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--metrics" if metrics_path.is_none() => {
+                metrics_path = Some(
+                    args.next()
+                        .unwrap_or_else(|| fail("--metrics requires a value".into())),
+                );
+            }
+            _ if path.is_none() && !arg.starts_with("--") => path = Some(arg),
+            _ => fail(format!("unexpected argument {arg:?}")),
+        }
+    }
+    let path = path.unwrap_or_else(|| "BENCH_sim.json".to_string());
     let cores = host_cores();
     let parallel_runner = SweepRunner::available();
 
@@ -796,16 +806,13 @@ fn main() {
              {OBS_OVERHEAD_BUDGET:.2}x budget on this host"
         );
     }
-    if let Some(metrics_path) = &options.metrics {
+    if let Some(metrics_path) = &metrics_path {
         let snapshot = instrumented
             .snapshot
             .as_ref()
             .expect("instrumented probe has metrics");
         std::fs::write(metrics_path, snapshot).expect("write metrics snapshot");
-        eprintln!(
-            "bench_export: metrics snapshot -> {}",
-            metrics_path.display()
-        );
+        eprintln!("bench_export: metrics snapshot -> {metrics_path}");
     }
 
     // Flat vs hierarchical admission cost, paired back to back with the

@@ -1,34 +1,20 @@
-//! Crash-safe scenario journals for resumable campaign runs.
+//! Crash-safe append-only line files: the storage under campaign journals
+//! ([`crate::campaign`] owns their header and record format).
 //!
-//! A journal is a JSONL file with one line per completed scenario, appended
-//! atomically (single `write` + flush under a mutex) as each scenario
-//! finishes. If the process dies mid-campaign — panic, OOM kill, power cut
-//! — the journal holds every scenario completed so far, with at most one
-//! torn trailing line. A later run started with `--resume <journal>` loads
-//! the completed outcomes and re-executes only the missing scenarios;
-//! because every scenario is pure in `(config, seed)`, the resumed report
-//! is byte-identical to an uninterrupted run.
-//!
-//! Line payloads are the lossless journal codecs from `rthv-faults`
-//! (`ScenarioOutcome::to_journal_json` and friends); this module only deals
-//! in whole lines and stays generic over what they encode.
+//! Each line is appended atomically (one `write` + flush under a mutex) as
+//! a scenario finishes, so a process that dies mid-campaign — panic, OOM
+//! kill, power cut — leaves every completed scenario behind plus at most one
+//! torn trailing line, which [`read_complete_lines`] drops.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 
-/// An append-only journal file shared by the sweep's worker threads.
+/// An append-only journal file shared by the sweep's worker threads: the
+/// file and how many lines this process has appended to it.
 #[derive(Debug)]
-pub struct Journal {
-    inner: Mutex<JournalInner>,
-}
-
-#[derive(Debug)]
-struct JournalInner {
-    file: File,
-    appended: u64,
-}
+pub struct Journal(Mutex<(File, u64)>);
 
 impl Journal {
     /// Opens `path` for appending, creating it (and its parent directory)
@@ -45,9 +31,7 @@ impl Journal {
             }
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Journal {
-            inner: Mutex::new(JournalInner { file, appended: 0 }),
-        })
+        Ok(Journal(Mutex::new((file, 0))))
     }
 
     /// Appends one journal line (a newline is added) and flushes it, then
@@ -60,17 +44,15 @@ impl Journal {
     ///
     /// Any I/O error from the write or flush.
     pub fn append(&self, line: &str) -> io::Result<u64> {
-        let mut buffer = String::with_capacity(line.len() + 1);
-        buffer.push_str(line);
-        buffer.push('\n');
-        let mut inner = self
-            .inner
+        let mut guard = self
+            .0
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.file.write_all(buffer.as_bytes())?;
-        inner.file.flush()?;
-        inner.appended += 1;
-        Ok(inner.appended)
+        let (file, appended) = &mut *guard;
+        file.write_all(format!("{line}\n").as_bytes())?;
+        file.flush()?;
+        *appended += 1;
+        Ok(*appended)
     }
 }
 
@@ -87,104 +69,31 @@ impl Journal {
 pub fn read_complete_lines(path: &Path) -> io::Result<Vec<String>> {
     let mut text = String::new();
     File::open(path)?.read_to_string(&mut text)?;
-    let mut lines: Vec<String> = Vec::new();
-    let mut rest = text.as_str();
-    while let Some(newline) = rest.find('\n') {
-        lines.push(rest[..newline].to_string());
-        rest = &rest[newline + 1..];
-    }
-    // `rest` now holds any unterminated tail: drop it.
-    Ok(lines)
+    let complete = text
+        .split_inclusive('\n')
+        .filter_map(|l| l.strip_suffix('\n'));
+    Ok(complete.map(str::to_string).collect())
 }
 
-/// Journal-related command-line options shared by the campaign binaries.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct JournalOptions {
-    /// `--journal <path>`: append each completed scenario to this file.
-    pub journal: Option<PathBuf>,
-    /// `--resume <path>`: load completed scenarios from this journal and
-    /// skip re-running them.
-    pub resume: Option<PathBuf>,
-    /// `--abort-after <n>`: crash-test hook — abort the process right after
-    /// the n-th journal append of this run has been flushed.
-    pub abort_after: Option<u64>,
-    /// `--metrics <path>`: run with the flight-recorder observability layer
-    /// enabled and write the deterministic metrics snapshot JSON here.
-    pub metrics: Option<PathBuf>,
-}
-
-/// Splits `--journal`, `--resume`, `--abort-after` and `--metrics` (each
-/// taking one value) out of an argument list, returning the options and the
-/// remaining positional arguments in their original order.
+/// Renders a [`ScenarioObservation`] — one scenario's monitored and
+/// unmonitored metrics snapshots — as one deterministic JSON document.
 ///
-/// # Errors
-///
-/// A human-readable message when a flag is missing its value, repeated, or
-/// `--abort-after` is not a number.
-pub fn parse_journal_flags(
-    args: impl Iterator<Item = String>,
-) -> Result<(JournalOptions, Vec<String>), String> {
-    let mut options = JournalOptions::default();
-    let mut positional = Vec::new();
-    let mut args = args;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--journal" | "--resume" | "--abort-after" | "--metrics" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| format!("{arg} requires a value"))?;
-                let slot_taken = match arg.as_str() {
-                    "--journal" => options.journal.replace(PathBuf::from(value)).is_some(),
-                    "--resume" => options.resume.replace(PathBuf::from(value)).is_some(),
-                    "--metrics" => options.metrics.replace(PathBuf::from(value)).is_some(),
-                    _ => {
-                        let n = value
-                            .parse::<u64>()
-                            .map_err(|e| format!("--abort-after expects a number: {e}"))?;
-                        options.abort_after.replace(n).is_some()
-                    }
-                };
-                if slot_taken {
-                    return Err(format!("{arg} given twice"));
-                }
-            }
-            _ => positional.push(arg),
-        }
-    }
-    Ok((options, positional))
-}
-
-/// Writes a [`ScenarioObservation`] — one scenario's monitored and
-/// unmonitored metrics snapshots — as a single deterministic JSON file. The
-/// embedded snapshots come out of the observability hub byte-identical
-/// across runs, so two invocations with the same campaign arguments produce
-/// byte-identical files; the `check.sh` smoke pins this with `cmp`.
-///
-/// # Errors
-///
-/// Any I/O error from writing the file.
-pub fn write_scenario_observation(
-    path: &Path,
-    observation: &rthv_faults::ScenarioObservation,
-) -> io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"scenario\": \"{}\",\n",
-        observation.outcome.label
-    ));
-    out.push_str(&format!("  \"seed\": {},\n", observation.outcome.seed));
-    out.push_str("  \"monitored\": ");
-    out.push_str(observation.monitored_obs.trim_end());
-    out.push_str(",\n  \"unmonitored\": ");
-    out.push_str(observation.unmonitored_obs.trim_end());
-    out.push_str("\n}\n");
-    std::fs::write(path, out)
+/// [`ScenarioObservation`]: rthv_faults::ScenarioObservation
+#[must_use]
+pub fn scenario_observation_json(observation: &rthv_faults::ScenarioObservation) -> String {
+    format!(
+        "{{\n  \"scenario\": \"{}\",\n  \"seed\": {},\n  \"monitored\": {},\n  \"unmonitored\": {}\n}}\n",
+        observation.outcome.label,
+        observation.outcome.seed,
+        observation.monitored_obs.trim_end(),
+        observation.unmonitored_obs.trim_end(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
@@ -239,44 +148,5 @@ mod tests {
     #[test]
     fn missing_journal_is_an_error() {
         assert!(read_complete_lines(&temp_path("missing-never-created")).is_err());
-    }
-
-    #[test]
-    fn flag_parsing_extracts_options_and_keeps_positionals() {
-        let args = [
-            "out.json",
-            "--journal",
-            "j.jsonl",
-            "7",
-            "--resume",
-            "old.jsonl",
-            "--abort-after",
-            "3",
-            "42",
-            "--metrics",
-            "obs.json",
-        ]
-        .into_iter()
-        .map(String::from);
-        let (options, positional) = parse_journal_flags(args).expect("valid");
-        assert_eq!(options.journal, Some(PathBuf::from("j.jsonl")));
-        assert_eq!(options.resume, Some(PathBuf::from("old.jsonl")));
-        assert_eq!(options.abort_after, Some(3));
-        assert_eq!(options.metrics, Some(PathBuf::from("obs.json")));
-        assert_eq!(positional, vec!["out.json", "7", "42"]);
-    }
-
-    #[test]
-    fn flag_parsing_rejects_malformed_input() {
-        for bad in [
-            vec!["--journal"],
-            vec!["--abort-after", "three"],
-            vec!["--resume", "a", "--resume", "b"],
-            vec!["--metrics"],
-            vec!["--metrics", "a.json", "--metrics", "b.json"],
-        ] {
-            let args = bad.iter().map(|s| (*s).to_string());
-            assert!(parse_journal_flags(args).is_err(), "accepted {bad:?}");
-        }
     }
 }

@@ -10,13 +10,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod journal;
 pub mod runner;
 pub mod sweep;
 
-pub use journal::{
-    parse_journal_flags, read_complete_lines, write_scenario_observation, Journal, JournalOptions,
-};
+pub use campaign::{drive, report_verdict, Campaign, CampaignArgs, JournalError, Setup, Verdict};
+pub use journal::{read_complete_lines, scenario_observation_json, Journal};
 pub use runner::{merge_histograms, ScenarioOutcome, SweepError, SweepRunner};
 
 use rthv::monitor::DeltaFunction;

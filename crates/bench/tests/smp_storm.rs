@@ -4,6 +4,8 @@
 //! multi-core metrics snapshots, and a typed loud failure on an unknown
 //! `RTHV_ENGINE` value.
 
+use std::ffi::{OsStr, OsString};
+use std::os::unix::ffi::OsStringExt as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -17,7 +19,7 @@ fn temp_path(name: &str) -> PathBuf {
 
 /// Runs the binary with the smoke geometry, a fixed seed and the given
 /// engine, returning the process output. `extra` is appended verbatim.
-fn run_storm(engine: &str, report: &Path, extra: &[&str]) -> Output {
+fn run_storm(engine: impl AsRef<OsStr>, report: &Path, extra: &[&str]) -> Output {
     let bin = env!("CARGO_BIN_EXE_smp_storm");
     let mut args = vec![
         report.to_str().expect("utf-8 path").to_string(),
@@ -190,25 +192,31 @@ fn metrics_snapshot_is_deterministic_and_pure() {
 }
 
 /// The end-to-end face of the typed engine-selection error: an unknown
-/// `RTHV_ENGINE` value fails loudly, names the offender, and writes no
-/// report — never a silent fallback to a default engine.
+/// `RTHV_ENGINE` value — non-UTF-8 bytes included — fails loudly, names the
+/// offender, and writes no report — never a silent fallback to a default
+/// engine.
 #[test]
 fn unknown_engine_is_a_typed_loud_failure() {
     let report = temp_path("bogus-engine.json");
     let _ = std::fs::remove_file(&report);
 
-    let output = run_storm("bogus", &report, &[]);
-    assert!(
-        !output.status.success(),
-        "an unknown engine must fail the process"
-    );
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("\"bogus\"") && stderr.contains("event engine"),
-        "the failure must name the rejected engine; stderr:\n{stderr}"
-    );
-    assert!(
-        !report.exists(),
-        "no report may be written on a config error"
-    );
+    for (engine, shown) in [
+        (OsString::from("bogus"), "\"bogus\""),
+        (OsString::from_vec(b"wh\xffel".to_vec()), "wh\u{fffd}el"),
+    ] {
+        let output = run_storm(&engine, &report, &[]);
+        assert!(
+            !output.status.success(),
+            "an unknown engine must fail the process"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(shown) && stderr.contains("event engine"),
+            "the failure must name the rejected engine; stderr:\n{stderr}"
+        );
+        assert!(
+            !report.exists(),
+            "no report may be written on a config error"
+        );
+    }
 }

@@ -311,7 +311,8 @@ impl EngineChoice {
     /// # Errors
     ///
     /// [`EngineSelectError`] when `RTHV_ENGINE` is set to something other
-    /// than `"heap"` or `"wheel"`. A typo used to silently fall back to
+    /// than `"heap"` or `"wheel"`, non-UTF-8 bytes included (the error
+    /// carries them lossily decoded). A typo used to silently fall back to
     /// the heap engine — which made an engine-sweeping CI matrix *look*
     /// like it covered the wheel while actually running heap twice.
     pub fn try_resolve(self) -> Result<EngineKind, EngineSelectError> {
@@ -320,7 +321,10 @@ impl EngineChoice {
             EngineChoice::Wheel => Ok(EngineKind::Wheel),
             EngineChoice::Auto => ENV_ENGINE
                 .get_or_init(|| match std::env::var("RTHV_ENGINE") {
-                    Err(_) => Ok(EngineKind::Heap),
+                    Err(std::env::VarError::NotPresent) => Ok(EngineKind::Heap),
+                    Err(std::env::VarError::NotUnicode(raw)) => Err(EngineSelectError {
+                        value: raw.to_string_lossy().into_owned(),
+                    }),
                     Ok(name) => EngineKind::parse(&name).ok_or(EngineSelectError { value: name }),
                 })
                 .clone(),

@@ -136,6 +136,25 @@ grep -q '"identity_held":true' target/STORM_smp_heap.json \
 grep -q '"ablation_broken":true' target/STORM_smp_heap.json \
     || { echo "failover-disabled ablation failed to demonstrate an independence violation"; exit 1; }
 
+echo "==> journal/run mismatch gate (a smoke journal resumed by a full run must fail)"
+# A journal's header names the run that wrote it. Resuming a --smoke
+# journal without --smoke must fail and write no report, never splice
+# smoke-run scenarios into a full-run report. Journaling itself must not
+# change the smoke report.
+rm -f target/STORM_smp_journal.jsonl target/STORM_smp_journaled.json target/STORM_smp_mismatch.json
+cargo run --release -q -p rthv-experiments --bin smp_storm \
+    target/STORM_smp_journaled.json 5 16392212 --smoke \
+    --journal target/STORM_smp_journal.jsonl
+cmp target/STORM_smp_heap.json target/STORM_smp_journaled.json \
+    || { echo "journaling changed the smp report"; exit 1; }
+if cargo run --release -q -p rthv-experiments --bin smp_storm \
+    target/STORM_smp_mismatch.json 5 16392212 \
+    --resume target/STORM_smp_journal.jsonl; then
+    echo "a full run resumed a --smoke journal"; exit 1
+fi
+test ! -f target/STORM_smp_mismatch.json \
+    || { echo "a mismatched resume must not write a report"; exit 1; }
+
 echo "==> bench_export runs to completion"
 # The perf exporter's probes assert their own invariants (engine and
 # sweep identity, fleet shapes, checkpoint non-perturbation); a probe that
