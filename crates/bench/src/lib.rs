@@ -17,7 +17,7 @@ pub mod sweep;
 
 pub use campaign::{drive, report_verdict, Campaign, CampaignArgs, JournalError, Setup, Verdict};
 pub use journal::{read_complete_lines, scenario_observation_json, Journal};
-pub use runner::{merge_histograms, ScenarioOutcome, SweepError, SweepRunner};
+pub use runner::{SweepError, SweepRunner};
 
 use rthv::monitor::DeltaFunction;
 use rthv::time::{Duration, Instant};

@@ -58,8 +58,8 @@ pub struct Fig6Config {
     /// Base RNG seed; each load perturbs it.
     pub seed: u64,
     /// Event engine backing every load's machine. Perf-only: the run's
-    /// outputs are engine-invariant, so benchmarks flip this to compare
-    /// engines within one process.
+    /// outputs are engine-invariant, which tests check by flipping this
+    /// within one process.
     pub engine: EngineChoice,
 }
 

@@ -64,7 +64,8 @@ impl MonitorStats {
 ///
 /// The check itself is a handful of subtractions and compares — the paper
 /// reports 128 instructions for `C_Mon` including the scheduler call; the
-/// criterion bench `monitor_overhead` in `rthv-experiments` measures this
+/// benchmark's `monitor.l1.check_ns` and `monitor.l5.check_ns` probes
+/// (`perfbench/`) time [`try_admit`](Self::try_admit) on this
 /// implementation.
 ///
 /// # Examples

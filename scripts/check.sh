@@ -155,11 +155,20 @@ fi
 test ! -f target/STORM_smp_mismatch.json \
     || { echo "a mismatched resume must not write a report"; exit 1; }
 
-echo "==> bench_export runs to completion"
-# The perf exporter's probes assert their own invariants (engine and
-# sweep identity, fleet shapes, checkpoint non-perturbation); a probe that
-# panics on this host fails the gate instead of going unnoticed.
-cargo run --release -q -p rthv-experiments --bin bench_export target/BENCH_sim_check.json
+echo "==> perfbench smoke (every workload, end-to-end and traced, 1 s each)"
+# The benchmark checks every output it times against the library runners;
+# a workload whose result line does not report "failed":0 — or that
+# refuses to start or panics, leaving no result line — fails the gate.
+for workload in fig6_paper fault_replay admit_storm smp_storm; do
+    for trace in 0 1; do
+        result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
+        case "$result" in
+            *'"failed":0'*) ;;
+            *) echo "perfbench $workload --trace $trace failed: $result"; exit 1 ;;
+        esac
+    done
+done
 
 echo "==> smoke supervised campaign (nominal + 7 fault families, fixed seed)"
 # Fails on any oracle violation (quarantine soundness included), a
