@@ -15,7 +15,7 @@ use std::fmt;
 use rthv_hypervisor::{HealthSignal, HealthState, SupervisionPolicy};
 use rthv_monitor::{Admission, DeltaFunction};
 use rthv_obs::MetricsHub;
-use rthv_sim::{EngineKind, EngineQueue};
+use rthv_sim::{ArrivalLane, EngineKind, EngineQueue};
 use rthv_stats::LatencyHistogram;
 use rthv_time::{Duration, Instant};
 use rthv_workload::FloodEvent;
@@ -379,10 +379,13 @@ impl AdmitFleet {
         self.router.get(source as usize).copied()
     }
 
-    /// Runs one campaign arm: `arrivals` (sorted, as produced by
-    /// [`rthv_workload::open_loop_flood`] / [`rthv_workload::ecu_fleet`])
-    /// against `faults`, over fresh shard state. Pure in everything except
-    /// `hub`, which — when given — receives the observability event stream.
+    /// Runs one campaign arm: `arrivals` (in any order; equal instants keep
+    /// their slice order) against `faults`, over fresh shard state. Pure in
+    /// everything except `hub`, which — when given — receives the
+    /// observability event stream.
+    ///
+    /// The arrivals stream from one sorted [`ArrivalLane`]; the engine
+    /// holds only what the run creates (drains, retries) plus the faults.
     pub fn run(
         &self,
         arrivals: &[FloodEvent],
@@ -393,7 +396,7 @@ impl AdmitFleet {
         // A flat fleet serves one lane; a tenanted fleet reserves one lane
         // per tenant plus a shared best-effort lane for demoted tenants.
         let lanes = cfg.tenancy.as_ref().map_or(1, |tc| tc.tenants.len() + 1);
-        let shards: Vec<Shard> = self
+        let mut shards: Vec<Shard> = self
             .locals
             .iter()
             .map(|&n| Shard::new(n as usize, lanes, &cfg.delta, cfg.supervision))
@@ -401,16 +404,20 @@ impl AdmitFleet {
         let mut tenancy = cfg.tenancy.as_ref().map(TenancyRuntime::new);
         let tick_hint = cfg.delta.dmin().max(Duration::from_micros(64));
         let mut queue: EngineQueue<FleetEvent> = EngineQueue::new(self.engine, tick_hint);
+        let mut ingress = ArrivalLane::new();
 
         // Arrivals before faults: at equal instants the FIFO tie-break
         // lets same-tick ingress beat the crash that would shed it, which
         // is both deterministic and the adversarial-maximal ordering (the
         // crash then kills it in flight instead).
-        for ev in arrivals {
-            queue
-                .schedule_at(ev.at, FleetEvent::Arrival { source: ev.source })
-                .expect("arrival streams start at the epoch");
-        }
+        ingress
+            .schedule_all(
+                &mut queue,
+                arrivals
+                    .iter()
+                    .map(|ev| (ev.at, FleetEvent::Arrival { source: ev.source })),
+            )
+            .expect("arrival streams start at the epoch");
         for fault in faults {
             let event = match fault.kind {
                 ShardFaultKind::Crash => FleetEvent::Crash { shard: fault.shard },
@@ -430,7 +437,7 @@ impl AdmitFleet {
         let mut max_latency = Duration::ZERO;
 
         let mut end_of_run = Instant::ZERO;
-        while let Some((now, event)) = queue.pop() {
+        while let Some((now, event)) = ingress.pop(&mut queue) {
             end_of_run = now;
             match event {
                 FleetEvent::Arrival { source } => {
@@ -443,7 +450,7 @@ impl AdmitFleet {
                     if let Some(rt) = tenancy.as_mut() {
                         self.tenant_ingress(
                             rt,
-                            &shards,
+                            &mut shards,
                             &mut queue,
                             &mut admitted,
                             &mut hub,
@@ -453,8 +460,8 @@ impl AdmitFleet {
                         );
                         continue;
                     }
-                    let shard = &shards[shard_id as usize];
-                    let outcome = shard.with_state(|s| {
+                    let s = &mut shards[shard_id as usize];
+                    let outcome = 'admit: {
                         s.counters.scheduled += 1;
                         // Fail-closed stall handling: a bounded number of
                         // deterministic backoff retries may outlast the
@@ -467,7 +474,7 @@ impl AdmitFleet {
                                 let needed = wait.as_nanos().div_ceil(backoff);
                                 if needed > u64::from(cfg.max_retries) {
                                     s.counters.shed_stalled += 1;
-                                    return AdmitOutcome::Shed {
+                                    break 'admit AdmitOutcome::Shed {
                                         reason: ShedReason::ShardStalled,
                                     };
                                 }
@@ -490,7 +497,7 @@ impl AdmitFleet {
                                     );
                                 }
                             }
-                            return AdmitOutcome::Shed {
+                            break 'admit AdmitOutcome::Shed {
                                 reason: ShedReason::QueueFull,
                             };
                         }
@@ -503,7 +510,7 @@ impl AdmitFleet {
                         let state = s.trackers[local as usize].state();
                         if occupancy >= watermark && state.shed_rank() >= 2 {
                             s.counters.shed_demoted += 1;
-                            return AdmitOutcome::Shed {
+                            break 'admit AdmitOutcome::Shed {
                                 reason: ShedReason::Demoted { state },
                             };
                         }
@@ -544,7 +551,7 @@ impl AdmitFleet {
                                 AdmitOutcome::Denied { violated_distance }
                             }
                         }
-                    });
+                    };
                     match outcome {
                         AdmitOutcome::Admitted => {
                             admitted[source as usize].push(now);
@@ -553,24 +560,22 @@ impl AdmitFleet {
                             }
                             // Single-server shard: the admission completes
                             // after everything already in service.
-                            shard.with_state(|s| {
-                                let start = s.busy_until[0].max(now);
-                                let completion = start + cfg.service_cost;
-                                s.busy_until[0] = completion;
-                                let id = queue
-                                    .schedule_at(
-                                        completion,
-                                        FleetEvent::Drain {
-                                            shard: shard_id,
-                                            lane: 0,
-                                        },
-                                    )
-                                    .expect("completions are in the future");
-                                s.in_flight[0].push_back(InFlight {
-                                    id,
-                                    source,
-                                    arrival: now,
-                                });
+                            let start = s.busy_until[0].max(now);
+                            let completion = start + cfg.service_cost;
+                            s.busy_until[0] = completion;
+                            let id = queue
+                                .schedule_at(
+                                    completion,
+                                    FleetEvent::Drain {
+                                        shard: shard_id,
+                                        lane: 0,
+                                    },
+                                )
+                                .expect("completions are in the future");
+                            s.in_flight[0].push_back(InFlight {
+                                id,
+                                source,
+                                arrival: now,
                             });
                         }
                         AdmitOutcome::Denied { violated_distance } => {
@@ -597,13 +602,11 @@ impl AdmitFleet {
                     }
                 }
                 FleetEvent::Drain { shard, lane } => {
-                    let done = shards[shard as usize].with_state(|s| {
-                        let head = s.in_flight[lane as usize].pop_front();
-                        if head.is_some() {
-                            s.counters.completed += 1;
-                        }
-                        head
-                    });
+                    let s = &mut shards[shard as usize];
+                    let done = s.in_flight[lane as usize].pop_front();
+                    if done.is_some() {
+                        s.counters.completed += 1;
+                    }
                     if let Some(flight) = done {
                         let lat = now - flight.arrival;
                         latency.add(lat);
@@ -618,8 +621,12 @@ impl AdmitFleet {
                     }
                 }
                 FleetEvent::Crash { shard } => {
-                    let dropped = shards[shard as usize]
-                        .with_state(|s| s.crash(now, cfg.failover, &cfg.delta, cfg.supervision));
+                    let dropped = shards[shard as usize].crash(
+                        now,
+                        cfg.failover,
+                        &cfg.delta,
+                        cfg.supervision,
+                    );
                     for flight in dropped {
                         queue.cancel(flight.id);
                         if let Some(rt) = tenancy.as_mut() {
@@ -632,13 +639,12 @@ impl AdmitFleet {
                     }
                 }
                 FleetEvent::Stall { shard, until } => {
-                    shards[shard as usize].with_state(|s| {
-                        s.counters.stalls += 1;
-                        s.stalled_until = Some(s.stalled_until.map_or(until, |u| u.max(until)));
-                        for busy in &mut s.busy_until {
-                            *busy = (*busy).max(until);
-                        }
-                    });
+                    let s = &mut shards[shard as usize];
+                    s.counters.stalls += 1;
+                    s.stalled_until = Some(s.stalled_until.map_or(until, |u| u.max(until)));
+                    for busy in &mut s.busy_until {
+                        *busy = (*busy).max(until);
+                    }
                 }
                 FleetEvent::Retry { source, attempt } => {
                     // Retry events exist only in tenanted fleets with the
@@ -646,7 +652,7 @@ impl AdmitFleet {
                     if let Some(rt) = tenancy.as_mut() {
                         self.tenant_ingress(
                             rt,
-                            &shards,
+                            &mut shards,
                             &mut queue,
                             &mut admitted,
                             &mut hub,
@@ -695,7 +701,7 @@ impl AdmitFleet {
     fn tenant_ingress(
         &self,
         rt: &mut TenancyRuntime,
-        shards: &[Shard],
+        shards: &mut [Shard],
         queue: &mut EngineQueue<FleetEvent>,
         admitted: &mut [Vec<Instant>],
         hub: &mut Option<&mut MetricsHub>,
@@ -708,16 +714,16 @@ impl AdmitFleet {
             return;
         };
         let tenant = rt.tenant_of[source as usize] as usize;
-        let shard = &shards[shard_id as usize];
+        let s = &mut shards[shard_id as usize];
         let retry_ladder = rt.retry_ladder;
         if attempt == 0 {
-            shard.with_state(|s| s.counters.scheduled += 1);
+            s.counters.scheduled += 1;
             rt.tenants[tenant].counters.scheduled += 1;
         }
         rt.tenants[tenant].brownout.roll(now);
         let level = rt.tenants[tenant].brownout.level();
         if level == BrownoutLevel::Quarantined {
-            shard.with_state(|s| s.counters.shed_quarantined += 1);
+            s.counters.shed_quarantined += 1;
             let tn = &mut rt.tenants[tenant];
             tn.counters.shed_quarantined += 1;
             tn.brownout.record(true);
@@ -744,7 +750,7 @@ impl AdmitFleet {
             Denied { violated_distance: usize },
             Cleared,
         }
-        let gate = shard.with_state(|s| {
+        let gate = 'gate: {
             if let Some(until) = s.stalled_until {
                 if now < until {
                     if retry_ladder {
@@ -753,17 +759,17 @@ impl AdmitFleet {
                         // fail closed after it.
                         if attempt < cfg.max_retries {
                             s.counters.retries += 1;
-                            return Gate::RetryLater;
+                            break 'gate Gate::RetryLater;
                         }
                         s.counters.shed_stalled += 1;
-                        return Gate::Shed(ShedReason::ShardStalled);
+                        break 'gate Gate::Shed(ShedReason::ShardStalled);
                     }
                     // Flat-style arithmetic fail-closed check.
                     let wait = until - now;
                     let needed = wait.as_nanos().div_ceil(cfg.retry_backoff.as_nanos());
                     if needed > u64::from(cfg.max_retries) {
                         s.counters.shed_stalled += 1;
-                        return Gate::Shed(ShedReason::ShardStalled);
+                        break 'gate Gate::Shed(ShedReason::ShardStalled);
                     }
                     s.counters.retries += needed;
                 } else {
@@ -777,7 +783,7 @@ impl AdmitFleet {
                         h.record_health(now, source as usize, tr.from.slug(), tr.to.slug());
                     }
                 }
-                return Gate::Shed(ShedReason::QueueFull);
+                break 'gate Gate::Shed(ShedReason::QueueFull);
             }
             // The watermark ladder judges the tenant's own lane, so one
             // tenant's backlog can never demote another's sources.
@@ -786,7 +792,7 @@ impl AdmitFleet {
             let state = s.trackers[local as usize].state();
             if occupancy >= watermark && state.shed_rank() >= 2 {
                 s.counters.shed_demoted += 1;
-                return Gate::Shed(ShedReason::Demoted { state });
+                break 'gate Gate::Shed(ShedReason::Demoted { state });
             }
             // Level one: the source's own δ⁻ monitor — check only, so a
             // refusal at a higher level leaves no phantom trace entry.
@@ -802,7 +808,7 @@ impl AdmitFleet {
                     Gate::Denied { violated_distance }
                 }
             }
-        });
+        };
         match gate {
             Gate::RetryLater => {
                 rt.tenants[tenant].counters.retries += 1;
@@ -843,7 +849,7 @@ impl AdmitFleet {
                 let tn = &mut rt.tenants[tenant];
                 let effective = tn.brownout.effective_budget();
                 if !tn.group.admits(now, effective) {
-                    shard.with_state(|s| s.counters.denied += 1);
+                    s.counters.denied += 1;
                     tn.counters.denied_group += 1;
                     tn.brownout.record(false);
                     if let Some(h) = hub.as_deref_mut() {
@@ -856,7 +862,7 @@ impl AdmitFleet {
                 // inside its group budget — it is the defense-in-depth
                 // backstop the oracle re-checks.
                 if !rt.global.admits(now, u64::MAX) {
-                    shard.with_state(|s| s.counters.denied += 1);
+                    s.counters.denied += 1;
                     let tn = &mut rt.tenants[tenant];
                     tn.counters.denied_global += 1;
                     tn.brownout.record(false);
@@ -865,32 +871,30 @@ impl AdmitFleet {
                     }
                     return;
                 }
-                shard.with_state(|s| {
-                    s.counters.admitted += 1;
-                    s.monitors[local as usize].record_admitted(now);
-                    if let Some(tr) = s.trackers[local as usize].conformant(now) {
-                        if let Some(h) = hub.as_deref_mut() {
-                            h.record_health(now, source as usize, tr.from.slug(), tr.to.slug());
-                        }
+                s.counters.admitted += 1;
+                s.monitors[local as usize].record_admitted(now);
+                if let Some(tr) = s.trackers[local as usize].conformant(now) {
+                    if let Some(h) = hub.as_deref_mut() {
+                        h.record_health(now, source as usize, tr.from.slug(), tr.to.slug());
                     }
-                    s.note_admitted(local, now, cfg.checkpoint_every);
-                    let start = s.busy_until[lane].max(now);
-                    let completion = start + cfg.service_cost;
-                    s.busy_until[lane] = completion;
-                    let id = queue
-                        .schedule_at(
-                            completion,
-                            FleetEvent::Drain {
-                                shard: shard_id,
-                                lane: lane as u32,
-                            },
-                        )
-                        .expect("completions are in the future");
-                    s.in_flight[lane].push_back(InFlight {
-                        id,
-                        source,
-                        arrival: now,
-                    });
+                }
+                s.note_admitted(local, now, cfg.checkpoint_every);
+                let start = s.busy_until[lane].max(now);
+                let completion = start + cfg.service_cost;
+                s.busy_until[lane] = completion;
+                let id = queue
+                    .schedule_at(
+                        completion,
+                        FleetEvent::Drain {
+                            shard: shard_id,
+                            lane: lane as u32,
+                        },
+                    )
+                    .expect("completions are in the future");
+                s.in_flight[lane].push_back(InFlight {
+                    id,
+                    source,
+                    arrival: now,
                 });
                 let tn = &mut rt.tenants[tenant];
                 tn.group.record(now);
@@ -968,14 +972,8 @@ impl TenancyRuntime {
         hub: Option<&mut MetricsHub>,
     ) -> (Vec<TenantLedger>, Vec<u32>) {
         let mut in_flight = vec![0u64; self.tenants.len()];
-        for shard in shards {
-            shard.with_state(|s| {
-                for lane in &s.in_flight {
-                    for flight in lane {
-                        in_flight[self.tenant_of[flight.source as usize] as usize] += 1;
-                    }
-                }
-            });
+        for flight in shards.iter().flat_map(|s| &s.in_flight).flatten() {
+            in_flight[self.tenant_of[flight.source as usize] as usize] += 1;
         }
         let ledgers: Vec<TenantLedger> = self
             .tenants

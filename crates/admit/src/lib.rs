@@ -3,7 +3,7 @@
 //! The paper's admission test ([`ActivationMonitor`], Eq. 6) protects one
 //! interrupt line on one machine. This crate scales the same test to a
 //! *fleet*: dense source ids hash-routed across N shards, each shard an
-//! arena of monitors behind a poison-immune lock, driven open-loop by
+//! arena of monitors, driven open-loop by
 //! Poisson floods, CAN-style ECU fleets and adversarial fault plans. Three
 //! robustness layers ride on top:
 //!

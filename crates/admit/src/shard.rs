@@ -1,18 +1,17 @@
 //! One shard of the admission fleet: an arena of δ⁻ monitors plus health
-//! trackers behind a poison-immune per-shard lock, with checkpoint-based
-//! crash recovery.
+//! trackers, with checkpoint-based crash recovery.
 //!
 //! A shard owns the [`ActivationMonitor`]s of every source routed to it,
 //! one [`HealthTracker`] per source for the load-shedding ladder, a bounded
 //! in-flight service queue and the crash-recovery state: the last
-//! [`checkpoint`](ShardState::take_checkpoint) (a deep copy of monitors and
-//! trackers) plus a journal of every admission since. On a crash the shard
-//! either restores checkpoint-plus-journal-tail (failover) or comes back
-//! with fresh monitors (the no-failover baseline that must demonstrably
-//! break the independence bound).
+//! checkpoint (a deep copy of monitors and trackers) plus a journal of
+//! every admission since. On a crash the shard either restores
+//! checkpoint-plus-journal-tail (failover) or comes back with fresh
+//! monitors (the no-failover baseline that must demonstrably break the
+//! independence bound). The fleet owns its shards and drives them from
+//! one thread, so a shard is plain data behind `&mut`.
 
 use std::collections::VecDeque;
-use std::sync::{Mutex, PoisonError};
 
 use rthv_hypervisor::{HealthTracker, SupervisionPolicy};
 use rthv_monitor::{ActivationMonitor, DeltaFunction};
@@ -106,31 +105,69 @@ struct ShardCheckpoint {
     trackers: Vec<HealthTracker>,
 }
 
-/// The mutable state behind a shard's lock.
+/// One shard: its monitor arena, service lanes, ledger and recovery state.
 #[derive(Debug)]
-pub(crate) struct ShardState {
+pub struct Shard {
     /// δ⁻ monitor arena, one per local source.
-    pub monitors: Vec<ActivationMonitor>,
+    pub(crate) monitors: Vec<ActivationMonitor>,
     /// Supervision scores, one per local source (the shed ladder).
-    pub trackers: Vec<HealthTracker>,
+    pub(crate) trackers: Vec<HealthTracker>,
     checkpoint: ShardCheckpoint,
     /// `(local source, admission timestamp)` since the last checkpoint.
     journal: Vec<(u32, Instant)>,
     /// When a stall window ends, if one is active.
-    pub stalled_until: Option<Instant>,
+    pub(crate) stalled_until: Option<Instant>,
     /// Per-lane single-server service horizons: lane `l`'s next admission
     /// completes at `max(busy_until[l], now) + service_cost`. A flat fleet
     /// has one lane; a tenanted fleet has one reserved lane per tenant
     /// plus a shared best-effort lane, so one tenant's backlog cannot
     /// delay another's completions.
-    pub busy_until: Vec<Instant>,
+    pub(crate) busy_until: Vec<Instant>,
     /// Admitted-but-not-completed activations per lane, completion order.
-    pub in_flight: Vec<VecDeque<InFlight>>,
+    pub(crate) in_flight: Vec<VecDeque<InFlight>>,
     /// This shard's ledger.
-    pub counters: ShardCounters,
+    pub(crate) counters: ShardCounters,
 }
 
-impl ShardState {
+impl Shard {
+    /// Builds a shard for `locals` sources sharing one δ⁻ condition and
+    /// one supervision policy, with `lanes` independent service lanes,
+    /// checkpointed at its (empty) initial state.
+    pub(crate) fn new(
+        locals: usize,
+        lanes: usize,
+        delta: &DeltaFunction,
+        policy: SupervisionPolicy,
+    ) -> Self {
+        let (monitors, trackers) = Self::fresh_arena(locals, delta, policy);
+        let checkpoint = ShardCheckpoint {
+            monitors: monitors.clone(),
+            trackers: trackers.clone(),
+        };
+        Shard {
+            monitors,
+            trackers,
+            checkpoint,
+            journal: Vec::new(),
+            stalled_until: None,
+            busy_until: vec![Instant::ZERO; lanes],
+            in_flight: vec![VecDeque::new(); lanes],
+            counters: ShardCounters::default(),
+        }
+    }
+
+    /// Admissions currently in service across all lanes.
+    #[must_use]
+    pub fn in_flight_len(&self) -> usize {
+        self.in_flight.iter().map(VecDeque::len).sum()
+    }
+
+    /// Snapshot of this shard's ledger.
+    #[must_use]
+    pub fn counters(&self) -> ShardCounters {
+        self.counters
+    }
+
     fn fresh_arena(
         locals: usize,
         delta: &DeltaFunction,
@@ -145,7 +182,7 @@ impl ShardState {
 
     /// Records an admission in the journal and checkpoints once
     /// `checkpoint_every` admissions have accumulated.
-    pub fn note_admitted(&mut self, local: u32, at: Instant, checkpoint_every: u64) {
+    pub(crate) fn note_admitted(&mut self, local: u32, at: Instant, checkpoint_every: u64) {
         self.journal.push((local, at));
         if self.journal.len() as u64 >= checkpoint_every {
             self.take_checkpoint();
@@ -154,7 +191,7 @@ impl ShardState {
 
     /// Deep-copies monitors and trackers and truncates the journal: after
     /// this, a crash replays only admissions younger than this instant.
-    pub fn take_checkpoint(&mut self) {
+    pub(crate) fn take_checkpoint(&mut self) {
         self.checkpoint = ShardCheckpoint {
             monitors: self.monitors.clone(),
             trackers: self.trackers.clone(),
@@ -176,7 +213,7 @@ impl ShardState {
     /// * [`FailoverMode::FreshState`] — the baseline: empty monitors that
     ///   admit everything on restart, which is precisely what the
     ///   fleet-wide oracle must catch.
-    pub fn crash(
+    pub(crate) fn crash(
         &mut self,
         at: Instant,
         mode: FailoverMode,
@@ -214,63 +251,5 @@ impl ShardState {
             }
         }
         dropped
-    }
-}
-
-/// One shard: [`ShardState`] behind a poison-immune lock, the "arena of
-/// `ActivationMonitor`s behind a per-shard lock" of the fleet design.
-#[derive(Debug)]
-pub struct Shard {
-    state: Mutex<ShardState>,
-}
-
-impl Shard {
-    /// Builds a shard for `locals` sources sharing one δ⁻ condition and
-    /// one supervision policy, with `lanes` independent service lanes,
-    /// checkpointed at its (empty) initial state.
-    pub(crate) fn new(
-        locals: usize,
-        lanes: usize,
-        delta: &DeltaFunction,
-        policy: SupervisionPolicy,
-    ) -> Self {
-        let (monitors, trackers) = ShardState::fresh_arena(locals, delta, policy);
-        let checkpoint = ShardCheckpoint {
-            monitors: monitors.clone(),
-            trackers: trackers.clone(),
-        };
-        Shard {
-            state: Mutex::new(ShardState {
-                monitors,
-                trackers,
-                checkpoint,
-                journal: Vec::new(),
-                stalled_until: None,
-                busy_until: vec![Instant::ZERO; lanes],
-                in_flight: vec![VecDeque::new(); lanes],
-                counters: ShardCounters::default(),
-            }),
-        }
-    }
-
-    /// Admissions currently in service across all lanes.
-    #[must_use]
-    pub fn in_flight_len(&self) -> usize {
-        self.with_state(|s| s.in_flight.iter().map(VecDeque::len).sum())
-    }
-
-    /// Runs `f` under the shard lock. A poisoned lock is recovered, not
-    /// propagated: shard state is plain data and every mutation completes
-    /// before the lock drops, so the state is consistent even if another
-    /// holder panicked.
-    pub(crate) fn with_state<R>(&self, f: impl FnOnce(&mut ShardState) -> R) -> R {
-        let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        f(&mut guard)
-    }
-
-    /// Snapshot of this shard's ledger.
-    #[must_use]
-    pub fn counters(&self) -> ShardCounters {
-        self.with_state(|s| s.counters)
     }
 }

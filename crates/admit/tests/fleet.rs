@@ -367,3 +367,53 @@ fn storm_smoke_scenario_separates_failover_from_baseline() {
         }
     }
 }
+
+#[test]
+fn unsorted_arrivals_run_as_their_stable_sort_by_time() {
+    let horizon = Duration::from_millis(60);
+    // Arrivals snapped to a 200 µs grid so many share an instant: the
+    // stable sort keeps their slice order, and so must the fleet.
+    let mut unsorted: Vec<FloodEvent> = dense_flood(6, horizon, 0x50F7)
+        .into_iter()
+        .map(|ev| FloodEvent {
+            at: Instant::from_nanos(ev.at.as_nanos() / 200_000 * 200_000),
+            ..ev
+        })
+        .collect();
+    let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+    for i in (1..unsorted.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        unsorted.swap(i, (x % (i as u64 + 1)) as usize);
+    }
+    let mut sorted = unsorted.clone();
+    sorted.sort_by_key(|ev| ev.at);
+    assert_ne!(
+        sorted, unsorted,
+        "the shuffle must leave the slice unsorted"
+    );
+    let faults = vec![
+        crash(20, 1),
+        stall(30, 0, Duration::from_millis(2)),
+        crash(40, 2),
+    ];
+    for engine in ["heap", "wheel"] {
+        let mut config = dense_config(3, 6, FailoverMode::Checkpoint);
+        config.engine = engine.to_owned();
+        config.queue_capacity = 1;
+        config.service_cost = Duration::from_micros(900);
+        let fleet = AdmitFleet::new(config).unwrap();
+        let from_unsorted = fleet.run(&unsorted, &faults, None);
+        let from_sorted = fleet.run(&sorted, &faults, None);
+        assert!(
+            from_sorted.counters.shed_queue_full > 0,
+            "{engine}: queues never filled"
+        );
+        assert_eq!(
+            format!("{from_unsorted:?}"),
+            format!("{from_sorted:?}"),
+            "{engine}: an unsorted slice must run as its stable sort by time"
+        );
+    }
+}

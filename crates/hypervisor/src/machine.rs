@@ -29,7 +29,7 @@ use std::mem;
 
 use rthv_monitor::{Admission, MonitorStats, Shaper, ShaperConfig};
 use rthv_obs::{MetricsHub, ObsConfig, SourceObs};
-use rthv_sim::{EngineKind, EngineQueue, EngineStats, EventId};
+use rthv_sim::{ArrivalLane, EngineKind, EngineQueue, EngineStats, EventId};
 use rthv_time::{Duration, Instant};
 
 use crate::digest::{admission_words, completion_words, counter_words, WordHasher};
@@ -247,7 +247,11 @@ pub struct RunReport {
 pub struct Machine {
     config: HypervisorConfig,
     schedule: TdmaSchedule,
+    /// Dynamic continuations only: `HvEnd`, `SegEnd` and the next
+    /// `Boundary`.
     queue: EngineQueue<Event>,
+    /// Scheduled IRQ arrivals, merged with `queue` on `(at, seq)`.
+    lane: ArrivalLane<Event>,
     /// The running hypervisor block, if any.
     hv: Option<HvBlock>,
     activity: Activity,
@@ -342,6 +346,7 @@ impl Machine {
         Ok(Machine {
             schedule,
             queue,
+            lane: ArrivalLane::with_digest(event_digest),
             hv: None,
             activity: Activity::User {
                 partition: PartitionId::new(0),
@@ -604,12 +609,9 @@ impl Machine {
             return Err(ScheduleIrqError::SourceQuarantined { source });
         }
         let seq = self.next_seq[source.index()];
-        self.queue
-            .schedule_at(at, Event::Arrival { source, seq, work })
-            .map_err(|e| ScheduleIrqError::InPast {
-                at: e.at,
-                now: e.now,
-            })?;
+        self.lane
+            .schedule(&mut self.queue, at, Event::Arrival { source, seq, work })
+            .map_err(ScheduleIrqError::from)?;
         self.next_seq[source.index()] += 1;
         // Shared sources yield one completion per subscriber.
         self.expected_completions +=
@@ -617,7 +619,9 @@ impl Machine {
         Ok(())
     }
 
-    /// Schedules a whole arrival trace for one source.
+    /// Schedules a whole arrival trace for one source, exactly as one
+    /// [`schedule_irq`](Machine::schedule_irq) call per arrival would,
+    /// with one sort of the arrival lane instead of one insertion each.
     ///
     /// # Errors
     ///
@@ -628,22 +632,34 @@ impl Machine {
         source: IrqSourceId,
         arrivals: &[Instant],
     ) -> Result<(), ScheduleIrqError> {
-        // The trace length is the scenario's own peak-population hint:
-        // pre-sizing here removes heap/id-ring reallocation from the
-        // scheduling path entirely (the heap engine's scaling cliff).
-        self.reserve_events(arrivals.len());
-        for &at in arrivals {
-            self.schedule_irq(source, at)?;
+        let Some(spec) = self.config.sources.get(source.index()) else {
+            return match arrivals {
+                [] => Ok(()),
+                _ => Err(ScheduleIrqError::UnknownSource { source }),
+            };
+        };
+        if !arrivals.is_empty()
+            && self
+                .supervisor
+                .as_ref()
+                .is_some_and(|s| s.is_quarantined(source.index()))
+        {
+            return Err(ScheduleIrqError::SourceQuarantined { source });
         }
-        Ok(())
-    }
-
-    /// Pre-sizes the event queue for `additional` more simultaneously
-    /// scheduled events. Scenario builders that know their arrival count
-    /// call this once up front so steady-state scheduling never
-    /// reallocates.
-    pub fn reserve_events(&mut self, additional: usize) {
-        self.queue.reserve(additional);
+        let (work, subscribers) = (spec.bottom_cost, spec.subscribers().count() as u64);
+        let first = self.next_seq[source.index()];
+        let before = self.lane.len();
+        let result = self.lane.schedule_all(
+            &mut self.queue,
+            arrivals.iter().zip(first..).map(|(&at, seq)| {
+                let event = Event::Arrival { source, seq, work };
+                (at, event)
+            }),
+        );
+        let added = (self.lane.len() - before) as u64;
+        self.next_seq[source.index()] += added;
+        self.expected_completions += added * subscribers;
+        result.map_err(ScheduleIrqError::from)
     }
 
     /// Which simulation engine backs this machine's event queue.
@@ -654,8 +670,9 @@ impl Machine {
 
     /// Engine health counters: live/stale population, compactions, and —
     /// on the wheel engine — cascade, occupancy and closed-form
-    /// fast-forward activity. Observability only; never part of
-    /// [`state_hash`](Machine::state_hash).
+    /// fast-forward activity. `live` counts only what the engine holds
+    /// (dynamic continuations), not the pending arrivals. Observability
+    /// only; never part of [`state_hash`](Machine::state_hash).
     #[must_use]
     pub fn engine_stats(&self) -> EngineStats {
         self.queue.stats()
@@ -698,7 +715,7 @@ impl Machine {
     /// to the first detected defect).
     pub fn run_until(&mut self, until: Instant) {
         while self.defect.is_none() {
-            let Some((_, event)) = self.queue.advance_to(until) else {
+            let Some((_, event)) = self.lane.advance_to(&mut self.queue, until) else {
                 break;
             };
             self.handle(event);
@@ -714,7 +731,7 @@ impl Machine {
             if self.defect.is_some() {
                 return false;
             }
-            let Some((_, event)) = self.queue.advance_to(deadline) else {
+            let Some((_, event)) = self.lane.advance_to(&mut self.queue, deadline) else {
                 return false;
             };
             self.handle(event);
@@ -726,10 +743,10 @@ impl Machine {
     /// Rewinds the machine to its just-constructed state — virtual time
     /// zero, partition 0's user task running, no scheduled arrivals, empty
     /// records — while keeping every allocation: the event queue's heap and
-    /// id ring, the per-partition IRQ [`VecDeque`]s, the recorder's
-    /// completion vector and the trace buffers all retain their capacity,
-    /// so a reset-and-rerun executes without heap allocation in steady
-    /// state.
+    /// id ring, the arrival lane, the per-partition IRQ [`VecDeque`]s, the
+    /// recorder's completion vector and the trace buffers all retain their
+    /// capacity, so a reset-and-rerun executes without heap allocation in
+    /// steady state.
     ///
     /// Determinism: a reset machine fed the same arrival trace reproduces
     /// the original run event for event (asserted by the
@@ -739,6 +756,7 @@ impl Machine {
     /// not run state, and deliberately survive the reset.
     pub fn reset(&mut self) {
         self.queue.clear();
+        self.lane.clear();
         // The cleared queue is back at time zero (relative scheduling
         // cannot fail there).
         self.queue.schedule_in(
@@ -825,9 +843,9 @@ impl Machine {
     }
 
     /// Captures a deep checkpoint of the machine's complete state —
-    /// scheduler position, event queue (ids and generations included),
-    /// per-source monitor trace rings, supervision state machines,
-    /// partition queues, counters and every record buffer.
+    /// scheduler position, event queue (ids and generations included), the
+    /// pending arrivals, per-source monitor trace rings, supervision state
+    /// machines, partition queues, counters and every record buffer.
     ///
     /// A machine [`restore`](Machine::restore)d from the snapshot continues
     /// the run exactly as the original would have: same events, same
@@ -840,6 +858,7 @@ impl Machine {
             config: self.config.clone(),
             schedule: self.schedule.clone(),
             queue: self.queue.clone(),
+            lane: self.lane.clone(),
             hv: self.hv.clone(),
             activity: self.activity.clone(),
             window: self.window,
@@ -874,6 +893,7 @@ impl Machine {
         self.config = snapshot.config.clone();
         self.schedule = snapshot.schedule.clone();
         self.queue = snapshot.queue.clone();
+        self.lane = snapshot.lane.clone();
         self.hv = snapshot.hv.clone();
         self.activity = snapshot.activity.clone();
         self.window = snapshot.window;
@@ -910,24 +930,23 @@ impl Machine {
     /// rescanning the whole history on every boundary.
     ///
     /// The canonical state words are folded one word per step (see the
-    /// `digest` module). Scheduled events are visited in engine storage
-    /// order: each live `(time, seq, event)` gets its own avalanched hash,
-    /// and the `wrapping_add` sum of those hashes plus the live count are
-    /// folded in. Sequence numbers are unique, so the live set fixes the
-    /// pop order, and the sum cannot tell which engine stores the events
-    /// or in what order.
+    /// `digest` module). Each scheduled `(time, seq, event)` gets its own
+    /// avalanched hash (`event_digest`), and the `wrapping_add` sum of
+    /// those hashes plus the scheduled count are folded in. Sequence
+    /// numbers are unique, so the scheduled set fixes the pop order, and
+    /// the sum cannot tell which engine stores the events, in what order,
+    /// or whether an arrival waits in the engine or in the arrival lane.
+    /// The lane keeps its share of the sum up to date as entries come and
+    /// go, so only the handful of engine events is walked here.
     #[must_use]
     pub fn state_hash(&self) -> u64 {
         let mut words = Vec::with_capacity(256);
         self.state_words(&mut words);
         let mut hash = WordHasher::new();
         hash.extend(words);
-        let (mut live, mut sum) = (0u64, 0u64);
+        let (mut live, mut sum) = (self.lane.len() as u64, self.lane.digest_sum());
         self.queue.for_each_scheduled(|at, seq, event| {
-            let mut one = WordHasher::new();
-            one.extend([at.as_nanos(), seq]);
-            event_words(event, &mut one);
-            sum = sum.wrapping_add(one.finish());
+            sum = sum.wrapping_add(event_digest(at, seq, event));
             live += 1;
         });
         hash.extend([live, sum]);
@@ -1258,7 +1277,7 @@ impl Machine {
         if let Some(metrics) = &mut self.metrics {
             metrics.record_slot_boundary(boundary_now, index as usize);
             metrics.record_engine(rthv_obs::EngineObs {
-                live: engine.live as u64,
+                live: (engine.live + self.lane.len()) as u64,
                 stale: engine.stale as u64,
                 compactions: engine.compactions,
                 fast_forward_jumps: engine.fast_forward_jumps,
@@ -1735,15 +1754,17 @@ impl Machine {
 /// The snapshot is opaque plain data: it owns clones of every piece of
 /// machine state — configuration (including runtime mutations), TDMA
 /// schedule position, the event queue with its id/generation table, the
-/// running hypervisor block, partition queues, per-source admission
-/// monitors with their δ⁻ trace rings, the supervision state machines,
-/// counters, and all record buffers. Restoring it onto any machine built
-/// from a compatible configuration resumes the run bit-identically.
+/// pending arrivals, the running hypervisor block, partition queues,
+/// per-source admission monitors with their δ⁻ trace rings, the
+/// supervision state machines, counters, and all record buffers.
+/// Restoring it onto any machine built from a compatible configuration
+/// resumes the run bit-identically.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
     config: HypervisorConfig,
     schedule: TdmaSchedule,
     queue: EngineQueue<Event>,
+    lane: ArrivalLane<Event>,
     hv: Option<HvBlock>,
     activity: Activity,
     window: Option<InterposedWindow>,
@@ -1773,6 +1794,16 @@ impl MachineSnapshot {
     pub fn taken_at(&self) -> Instant {
         self.queue.now()
     }
+}
+
+/// One scheduled event's avalanched hash: the summand of
+/// [`Machine::state_hash`]'s scheduled-event set, for engine and lane
+/// entries alike.
+fn event_digest(at: Instant, seq: u64, event: &Event) -> u64 {
+    let mut one = WordHasher::new();
+    one.extend([at.as_nanos(), seq]);
+    event_words(event, &mut one);
+    one.finish()
 }
 
 /// Folds the canonical word encoding of a scheduled [`Event`].
@@ -1921,6 +1952,15 @@ impl std::fmt::Display for ScheduleIrqError {
 
 impl std::error::Error for ScheduleIrqError {}
 
+impl From<rthv_sim::SchedulePastError> for ScheduleIrqError {
+    fn from(e: rthv_sim::SchedulePastError) -> Self {
+        ScheduleIrqError::InPast {
+            at: e.at,
+            now: e.now,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2046,6 +2086,102 @@ mod tests {
                 assert_eq!(hash_with(queue), reference, "{kind:?} {history:?}");
             }
         }
+    }
+
+    /// `state_hash` with the arrival lane walked entry by entry instead of
+    /// read from its running digest sum.
+    fn walked_hash(machine: &Machine) -> u64 {
+        let mut words = Vec::new();
+        machine.state_words(&mut words);
+        let mut hash = WordHasher::new();
+        hash.extend(words);
+        let (mut live, mut sum) = (0u64, 0u64);
+        let mut add = |at, seq, event: &Event| {
+            sum = sum.wrapping_add(event_digest(at, seq, event));
+            live += 1;
+        };
+        machine.lane.for_each(|at, seq, event| add(at, seq, event));
+        machine
+            .queue
+            .for_each_scheduled(|at, seq, event| add(at, seq, event));
+        hash.extend([live, sum]);
+        hash.finish()
+    }
+
+    /// Schedules an arrival straight into the engine, as every arrival was
+    /// before the arrival lane existed.
+    fn schedule_in_engine(machine: &mut Machine, source: IrqSourceId, at: Instant) {
+        let spec = &machine.config.sources[source.index()];
+        let (work, subscribers) = (spec.bottom_cost, spec.subscribers().count() as u64);
+        let seq = machine.next_seq[source.index()];
+        machine
+            .queue
+            .schedule_at(at, Event::Arrival { source, seq, work })
+            .expect("not in the past");
+        machine.next_seq[source.index()] += 1;
+        machine.expected_completions += subscribers;
+    }
+
+    /// At every slot boundary, after out-of-order mid-run inserts and after
+    /// a restore, the lane's running digest sum gives the hash a walk over
+    /// the lane gives, and both equal the hash of the same run with every
+    /// arrival in the engine.
+    #[test]
+    fn lane_digest_sum_hashes_like_a_walk_and_like_arrivals_in_the_engine() {
+        let (mut lane, mut engine) = (machine(), machine());
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for source in [IrqSourceId::new(0), IrqSourceId::new(1)] {
+            let trace: Vec<Instant> = (0..60)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    Instant::from_nanos(x % 150_000_000)
+                })
+                .collect();
+            lane.schedule_irq_trace(source, &trace).expect("future");
+            for &at in &trace {
+                schedule_in_engine(&mut engine, source, at);
+            }
+        }
+        let check = |lane: &Machine, engine: &Machine, when: &str| {
+            assert_eq!(
+                lane.lane.len() + lane.engine_stats().live,
+                engine.engine_stats().live,
+                "{when}"
+            );
+            assert_eq!(lane.state_hash(), walked_hash(lane), "{when}");
+            assert_eq!(lane.state_hash(), engine.state_hash(), "{when}");
+        };
+        let mut saved = None;
+        for k in 1..=24 {
+            let boundary = lane.schedule.boundary_time(k);
+            lane.run_until(boundary);
+            engine.run_until(boundary);
+            check(&lane, &engine, &format!("boundary {k}"));
+            if k == 5 {
+                for micros in [3_000, 100, 0, 2_000, 100] {
+                    let at = lane.now() + Duration::from_micros(micros);
+                    lane.schedule_irq(IrqSourceId::new(1), at).expect("future");
+                    schedule_in_engine(&mut engine, IrqSourceId::new(1), at);
+                }
+                check(&lane, &engine, "mid-run inserts");
+            }
+            if k == 8 {
+                saved = Some((lane.snapshot(), engine.snapshot()));
+            }
+        }
+        let (lane_snapshot, engine_snapshot) = saved.expect("taken at boundary 8");
+        lane.restore(&lane_snapshot);
+        engine.restore(&engine_snapshot);
+        check(&lane, &engine, "restored");
+        for k in 9..=30 {
+            let boundary = lane.schedule.boundary_time(k);
+            lane.run_until(boundary);
+            engine.run_until(boundary);
+            check(&lane, &engine, &format!("boundary {k} after restore"));
+        }
+        assert_eq!(lane.finish().digest(), engine.finish().digest());
     }
 
     #[test]

@@ -397,6 +397,21 @@ impl<E> EngineQueue<E> {
         dispatch!(self, q => q.peek_time())
     }
 
+    /// See [`EventQueue::pop_before`].
+    pub fn pop_before(&mut self, key: (Instant, u64), limit: Instant) -> Option<(Instant, E)> {
+        dispatch!(self, q => q.pop_before(key, limit))
+    }
+
+    /// See [`EventQueue::issue_id`].
+    pub fn issue_id(&mut self) -> EventId {
+        dispatch!(self, q => q.issue_id())
+    }
+
+    /// See [`EventQueue::fire_issued`].
+    pub fn fire_issued(&mut self, at: Instant) {
+        dispatch!(self, q => q.fire_issued(at));
+    }
+
     /// See [`Engine::advance_to`].
     pub fn advance_to(&mut self, limit: Instant) -> Option<(Instant, E)> {
         match self.peek_time() {

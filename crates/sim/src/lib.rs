@@ -19,6 +19,11 @@
 //! two are observation-equivalent bit for bit (see [`engine`] for the exact
 //! obligations).
 //!
+//! Pre-known inputs (arrival traces, ingress floods) stay out of the
+//! engine: an [`ArrivalLane`] holds them sorted and merges its front with
+//! the engine's on `(time, seq)`, so the engine holds only the events a run
+//! creates while the merged stream, ids included, is unchanged.
+//!
 //! # Examples
 //!
 //! ```
@@ -41,9 +46,11 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+mod lane;
 mod queue;
 mod wheel;
 
 pub use engine::{Engine, EngineKind, EngineQueue, EngineStats};
+pub use lane::ArrivalLane;
 pub use queue::{EventId, EventQueue, SchedulePastError, SimError};
 pub use wheel::WheelEngine;

@@ -242,6 +242,17 @@ impl IdTable {
         self.states.push_back(IdState::Pending);
     }
 
+    /// Registers the next dense id as already consumed: its event lives
+    /// outside the engine (an arrival lane entry), so the engine can never
+    /// pop or cancel it. With nothing pending the watermark simply moves.
+    pub(crate) fn push_consumed(&mut self) {
+        if self.states.is_empty() {
+            self.base += 1;
+        } else {
+            self.states.push_back(IdState::Consumed);
+        }
+    }
+
     pub(crate) fn state(&self, seq: u64) -> IdState {
         if seq < self.base {
             return IdState::Consumed;
@@ -329,8 +340,8 @@ impl<E> EventQueue<E> {
 
     /// Creates an empty queue pre-sized for `capacity` simultaneously live
     /// events: both the binary heap and the id-state ring allocate up front,
-    /// so a scenario whose peak event population is known (e.g. a
-    /// pre-scheduled arrival trace) never reallocates mid-run.
+    /// so a scenario whose peak event population is known never
+    /// reallocates mid-run.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
@@ -418,6 +429,28 @@ impl<E> EventQueue<E> {
             return Err(SchedulePastError { now: self.now, at });
         }
         Ok(self.push_entry(at, event))
+    }
+
+    /// Issues the next id without storing an event: the id's sequence
+    /// number orders an event held outside the queue (an
+    /// [`ArrivalLane`](crate::ArrivalLane) entry) against the queued ones.
+    /// The id is born consumed, so [`cancel`](Self::cancel) on it returns
+    /// `false`.
+    pub fn issue_id(&mut self) -> EventId {
+        let id = EventId {
+            generation: self.generation,
+            seq: self.next_seq,
+        };
+        self.ids.push_consumed();
+        self.next_seq += 1;
+        id
+    }
+
+    /// Advances [`now`](Self::now) to `at`, the firing time of an event
+    /// held outside the queue under an [`issue_id`](Self::issue_id) id.
+    pub fn fire_issued(&mut self, at: Instant) {
+        debug_assert!(at >= self.now, "an issued event fired in the past");
+        self.now = at;
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -512,6 +545,13 @@ impl<E> EventQueue<E> {
     ///
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
+        self.pop_before((Instant::MAX, u64::MAX), Instant::MAX)
+    }
+
+    /// Pops the earliest live event iff its `(time, seq)` key is below
+    /// `key` and it fires at or before `limit`: the peek-compare-pop of an
+    /// [`ArrivalLane`](crate::ArrivalLane) merge in one call.
+    pub fn pop_before(&mut self, key: (Instant, u64), limit: Instant) -> Option<(Instant, E)> {
         // Mirror of the cancel-time guard: pops shrink the live population
         // without touching tombstones buried below the heap top, so a
         // cancel burst followed by a drain would otherwise leave stale
@@ -519,18 +559,29 @@ impl<E> EventQueue<E> {
         if self.ids.cancelled() > 2 * self.len() {
             self.compact();
         }
-        while let Some(entry) = self.heap.pop() {
-            if self.ids.state(entry.seq()) == IdState::Cancelled {
-                self.ids.consume(entry.seq());
-                continue;
-            }
-            let at = entry.at();
-            debug_assert!(at >= self.now, "heap yielded an event in the past");
-            self.now = at;
-            self.ids.consume(entry.seq());
-            return Some((at, entry.event));
+        let next = self.next_live()?;
+        if next.key >= pack_key(key.0, key.1) || next.at() > limit {
+            return None;
         }
-        None
+        let entry = self.heap.pop()?;
+        let at = entry.at();
+        debug_assert!(at >= self.now, "heap yielded an event in the past");
+        self.now = at;
+        self.ids.consume(entry.seq());
+        Some((at, entry.event))
+    }
+
+    /// The earliest live entry, left on the heap top; cancelled heads met
+    /// on the way are drained.
+    fn next_live(&mut self) -> Option<&Entry<E>> {
+        loop {
+            let seq = self.heap.peek()?.seq();
+            if self.ids.state(seq) != IdState::Cancelled {
+                return self.heap.peek();
+            }
+            self.heap.pop();
+            self.ids.consume(seq);
+        }
     }
 
     /// Visits every live (scheduled, not cancelled) event exactly once, in
@@ -553,20 +604,7 @@ impl<E> EventQueue<E> {
     /// Timestamp of the earliest live event without popping it.
     #[must_use]
     pub fn peek_time(&mut self) -> Option<Instant> {
-        loop {
-            match self.heap.peek() {
-                None => return None,
-                Some(entry) if self.ids.state(entry.seq()) != IdState::Cancelled => {
-                    return Some(entry.at());
-                }
-                Some(_) => {
-                    // Drain the cancelled head lazily.
-                    if let Some(entry) = self.heap.pop() {
-                        self.ids.consume(entry.seq());
-                    }
-                }
-            }
-        }
+        self.next_live().map(Entry::at)
     }
 }
 

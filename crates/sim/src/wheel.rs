@@ -314,6 +314,23 @@ impl<E> WheelEngine<E> {
         Ok(self.push_entry(at, event))
     }
 
+    /// Issues the next id without storing an event (see
+    /// [`EventQueue::issue_id`](crate::EventQueue::issue_id)).
+    pub fn issue_id(&mut self) -> EventId {
+        let id = EventId::from_parts(self.generation, self.next_seq);
+        self.ids.push_consumed();
+        self.next_seq += 1;
+        id
+    }
+
+    /// Advances [`now`](Self::now) to an issued event's firing time. The
+    /// cursor stays put: every stored event is still at or after it, so
+    /// placement relative to it remains valid.
+    pub fn fire_issued(&mut self, at: Instant) {
+        debug_assert!(at >= self.now, "an issued event fired in the past");
+        self.now = at;
+    }
+
     /// Schedules `event` to fire `delay` after the current time (never
     /// fails: the sum saturates at the far future).
     pub fn schedule_in(&mut self, delay: Duration, event: E) -> EventId {
@@ -445,6 +462,13 @@ impl<E> WheelEngine<E> {
     /// Pops the earliest live event, advancing [`now`](Self::now) to its
     /// timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
+        self.pop_before((Instant::MAX, u64::MAX), Instant::MAX)
+    }
+
+    /// Pops the earliest live event iff its `(time, seq)` key is below
+    /// `key` and it fires at or before `limit` (see
+    /// [`EventQueue::pop_before`](crate::EventQueue::pop_before)).
+    pub fn pop_before(&mut self, key: (Instant, u64), limit: Instant) -> Option<(Instant, E)> {
         // The cancel-time guard alone is not enough: once cancels stop,
         // pops keep shrinking the live population while tombstones parked
         // in the overflow map (or far-future buckets the cursor has not
@@ -453,42 +477,40 @@ impl<E> WheelEngine<E> {
         if self.ids.cancelled() > 2 * self.len() {
             self.compact();
         }
+        let next = self.next_live()?;
+        if next.key >= pack_key(key.0, key.1) || key_time(next.key) > limit {
+            return None;
+        }
+        let entry = self.staging.pop()?;
+        self.stored -= 1;
+        let (at, seq) = (key_time(entry.key), key_seq(entry.key));
+        debug_assert!(at >= self.now, "wheel yielded an event in the past");
+        self.now = at;
+        self.ids.consume(seq);
+        Some((at, entry.event))
+    }
+
+    /// The earliest live entry, left in place at the back of `staging`;
+    /// cancelled entries met on the way are drained.
+    fn next_live(&mut self) -> Option<&WheelEntry<E>> {
         loop {
             if self.staging.is_empty() {
                 self.refill_staging();
             }
-            let entry = self.staging.pop()?;
-            self.stored -= 1;
-            let seq = key_seq(entry.key);
-            if self.ids.state(seq) == IdState::Cancelled {
-                self.ids.consume(seq);
-                continue;
+            let seq = key_seq(self.staging.last()?.key);
+            if self.ids.state(seq) != IdState::Cancelled {
+                return self.staging.last();
             }
-            let at = key_time(entry.key);
-            debug_assert!(at >= self.now, "wheel yielded an event in the past");
-            self.now = at;
+            self.staging.pop();
+            self.stored -= 1;
             self.ids.consume(seq);
-            return Some((at, entry.event));
         }
     }
 
     /// Timestamp of the earliest live event without popping it.
     #[must_use]
     pub fn peek_time(&mut self) -> Option<Instant> {
-        loop {
-            if self.staging.is_empty() {
-                self.refill_staging();
-            }
-            let entry = self.staging.last()?;
-            let seq = key_seq(entry.key);
-            if self.ids.state(seq) == IdState::Cancelled {
-                self.staging.pop();
-                self.stored -= 1;
-                self.ids.consume(seq);
-                continue;
-            }
-            return Some(key_time(entry.key));
-        }
+        self.next_live().map(|entry| key_time(entry.key))
     }
 
     /// Visits every live event exactly once, in **unspecified** (storage)

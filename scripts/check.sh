@@ -167,6 +167,17 @@ for workload in fig6_paper fault_replay admit_storm smp_storm; do
             *'"failed":0'*) ;;
             *) echo "perfbench $workload --trace $trace failed: $result"; exit 1 ;;
         esac
+        # Fill gate: pre-known arrivals stream from the arrival lane, so the
+        # engine holds a handful of dynamic events. A median fill above 8
+        # means arrivals drifted back into the engine. admit_storm is left
+        # out: perfbench estimates its fill from the arrival stream, not
+        # from the fleet's engine.
+        if [ "$trace" = 1 ] && [ "$workload" != admit_storm ]; then
+            fill=$(printf '%s\n' "$result" \
+                | sed -n 's/.*"sim\.fill_p50":{"value":\([0-9.]*\).*/\1/p')
+            awk -v fill="$fill" 'BEGIN { exit !(fill != "" && fill <= 8) }' \
+                || { echo "perfbench $workload: sim.fill_p50 '$fill' exceeds 8"; exit 1; }
+        fi
     done
 done
 
